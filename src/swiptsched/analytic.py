@@ -14,13 +14,17 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .channel import normalized_cdf
-from .orderstats import OrderSpec, expected_ordered_gain, harmonic_tail, ordered_pdf
-from .specfun import (
-    QuadratureSpec,
-    exp_integral_e1_scaled,
-    integrate_semi_infinite,
+import numpy as np
+
+from .orderstats import (
+    TABLE_QUADRATURE,
+    OrderSpec,
+    expected_ordered_gain,
+    order_envelope,
+    ordered_pdf,  # noqa: F401  (kept importable as swiptsched.analytic.ordered_pdf)
+    ordered_pdfs,
 )
+from .specfun import exp_integral_e1_scaled, integrate_semi_infinite
 
 _LN2 = math.log(2.0)
 
@@ -119,44 +123,87 @@ class SchedulerAnalysis:
         object.__setattr__(self, "per_user_harvest", tuple(self.per_user_harvest))
 
 
-def _capacity_quadrature(gbar, density, envelope):
+@lru_cache(maxsize=None)
+def _capacity_table(n, k, gbars):
+    """Capacity rows of every distinct average SNR in gbars (ascending).
+
+    Maps each gbar to (full-access capacity, C(1), ..., C(n)), where C(j)
+    includes the 1/n probability of holding rank j. One vector quadrature
+    computes the whole table on shared nodes; the full-access entry
+    integrates the parent density itself, not the sum of the rank entries.
+    """
+    pdfs = ordered_pdfs(n, k)
+    g = np.array(gbars)
+    # each user's log factor is divided by log(1 + gbar), so every entry is
+    # of order one and the tolerance on the largest holds for each
+    scale = np.log1p(g)
+
     def integrand(x):
-        return math.log1p(gbar * x) / _LN2 * density(x)
+        return np.outer(np.log1p(g * x) / scale, pdfs(x)).ravel()
 
     # the log factor turns over at x ~ 1/gbar, far below the density scale
-    # at high average SNR; a decade ladder of breakpoints from the knee up
-    # keeps the subdivision from stepping over it (points beyond the
-    # truncated upper limit are dropped by the integrator)
-    knee = 1.0 / gbar
+    # at high average SNR; a decade ladder of breakpoints from the strongest
+    # user's knee up keeps the subdivision from stepping over any user's
+    # knee (points beyond the truncated upper limit are dropped)
+    knee = 1.0 / gbars[-1]
     ladder = tuple(knee * 10.0**e for e in range(31))
-    return integrate_semi_infinite(
-        integrand, envelope_cdf=envelope, interior_points=ladder
+    values = integrate_semi_infinite(
+        integrand,
+        TABLE_QUADRATURE,
+        envelope_cdf=order_envelope(n, k),
+        interior_points=ladder,
     )
+    weights = np.concatenate(([1.0], np.full(n, 1.0 / n)))
+    table = values.reshape(len(gbars), n + 1) * np.outer(scale / _LN2, weights)
+    return {gbar: tuple(row.tolist()) for gbar, row in zip(gbars, table)}
+
+
+def _group_table(scenario, k):
+    # the capacity table of the users with K factor k; ranks exist only when
+    # every user shares it, otherwise the table is a one-user one, whose
+    # single rank repeats the full access
+    peers = [u for u in range(1, scenario.n_users + 1) if scenario.user(u).k_factor == k]
+    n = scenario.n_users if len(peers) == scenario.n_users else 1
+    return _capacity_table(n, k, tuple(sorted({scenario.avg_snr(u) for u in peers})))
+
+
+def _column(scenario, j, users, method="auto"):
+    # column j of the capacity table for the 1-based users: the full access
+    # for j = 0, the rank-j capacity otherwise; Rayleigh users take the
+    # closed forms unless method is "quadrature" or the sum cancels
+    tables = {}
+    values = []
+    for u in users:
+        k = scenario.user(u).k_factor
+        gbar = scenario.avg_snr(u)
+        value = None
+        if method == "auto" and k == 0.0:
+            if j == 0:
+                value = exp_integral_e1_scaled(1.0 / gbar) / _LN2
+            else:
+                value = _nsnr_capacity_rayleigh(scenario.n_users, j, gbar)
+        if value is None:
+            if k not in tables:
+                tables[k] = _group_table(scenario, k)
+            value = tables[k][gbar][j]
+        values.append(value)
+    return values
 
 
 def full_access_capacity(scenario, user_n):
     """Ergodic capacity the user would get with the channel to itself.
 
     Rayleigh has the closed form e^(1/gbar) E1(1/gbar) / ln 2, evaluated in
-    scaled form so tiny and huge average SNRs both stay finite; Ricean goes
-    through quadrature.
+    scaled form so tiny and huge average SNRs both stay finite; Ricean
+    reads the capacity table of the users sharing its K factor.
     """
-    params = scenario.user(user_n)
-    gbar = scenario.avg_snr(user_n)
-    k = params.k_factor
-    if k == 0.0:
-        return exp_integral_e1_scaled(1.0 / gbar) / _LN2
-
-    def density(x):
-        return ordered_pdf(OrderSpec(1, 1), k, x)
-
-    return _capacity_quadrature(gbar, density, lambda x: normalized_cdf(k, x))
+    return _column(scenario, 0, (user_n,))[0]
 
 
 def rr_analysis(scenario):
     """Round-robin operating point: 1/N time share, N-1 of N slots harvesting."""
     n = scenario.n_users
-    caps = [full_access_capacity(scenario, u) / n for u in range(1, n + 1)]
+    caps = [c / n for c in _column(scenario, 0, range(1, n + 1))]
     harv = [
         (1.0 - 1.0 / n) * scenario.eta * scenario.tx_power_w * p.omega
         for p in scenario.users
@@ -182,20 +229,8 @@ def _rayleigh_order_capacity_closed(n, j, gbar):
 
 
 @lru_cache(maxsize=None)
-def _nsnr_capacity_quadrature(n, j, gbar, k):
-    spec = OrderSpec(n, j)
-
-    def density(x):
-        return ordered_pdf(spec, k, x) / n
-
-    def envelope(x):
-        return 1.0 - n * (1.0 - normalized_cdf(k, x))
-
-    return _capacity_quadrature(gbar, density, envelope)
-
-
-@lru_cache(maxsize=None)
 def _nsnr_capacity_rayleigh(n, j, gbar):
+    # the closed form, or None when its alternating sum cancels
     value, ratio = _rayleigh_order_capacity_closed(n, j, gbar)
     if ratio > 1e6:
         warnings.warn(
@@ -204,8 +239,16 @@ def _nsnr_capacity_rayleigh(n, j, gbar):
             CancellationWarning,
             stacklevel=3,
         )
-        return _nsnr_capacity_quadrature(n, j, gbar, 0.0)
+        return None
     return value
+
+
+def _check_rank(scenario, j):
+    # the shared K factor, once j is a valid rank of the scenario
+    k = scenario.shared_k_factor()
+    if not 1 <= j <= scenario.n_users:
+        raise ValueError(f"order j must lie in 1..{scenario.n_users}, got {j}")
+    return k
 
 
 def nsnr_capacity(scenario, j, user_n, method="auto"):
@@ -216,18 +259,17 @@ def nsnr_capacity(scenario, j, user_n, method="auto"):
     k_factor is 0 (falling back to quadrature if the alternating sum
     cancels badly) and quadrature otherwise; "closed" forces the Rayleigh
     sum; "quadrature" forces numerical integration of the ordered density.
+    The quadrature route reads one table per scenario, which integrates
+    every (user, rank) entry at once.
     """
-    k = scenario.shared_k_factor()
-    n = scenario.n_users
-    if not 1 <= j <= n:
-        raise ValueError(f"order j must lie in 1..{n}, got {j}")
-    gbar = scenario.avg_snr(user_n)
-    if method == "quadrature":
-        return _nsnr_capacity_quadrature(n, j, gbar, k)
+    k = _check_rank(scenario, j)
+    if method not in ("auto", "closed", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
     if method == "closed":
         if k != 0.0:
             raise ValueError("the closed form requires Rayleigh fading (k_factor 0)")
-        value, ratio = _rayleigh_order_capacity_closed(n, j, gbar)
+        n = scenario.n_users
+        value, ratio = _rayleigh_order_capacity_closed(n, j, scenario.avg_snr(user_n))
         if ratio > 1e6:
             warnings.warn(
                 f"alternating sum for n={n}, j={j} lost ~{math.log10(ratio):.0f} digits",
@@ -235,11 +277,7 @@ def nsnr_capacity(scenario, j, user_n, method="auto"):
                 stacklevel=2,
             )
         return value
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    if k == 0.0:
-        return _nsnr_capacity_rayleigh(n, j, gbar)
-    return _nsnr_capacity_quadrature(n, j, gbar, k)
+    return _column(scenario, j, (user_n,), method)[0]
 
 
 def nsnr_harvest(scenario, j, user_n):
@@ -251,28 +289,26 @@ def nsnr_harvest(scenario, j, user_n):
     k = scenario.shared_k_factor()
     n = scenario.n_users
     params = scenario.user(user_n)
-    if k == 0.0:
-        expected = harmonic_tail(n, j)
-    else:
-        expected = expected_ordered_gain(OrderSpec(n, j), k)
+    expected = expected_ordered_gain(OrderSpec(n, j), k)
     return scenario.eta * scenario.tx_power_w * params.omega * (1.0 - expected / n)
 
 
 def nsnr_analysis(scenario, j):
     """Full per-user rate-energy point for rank-j scheduling."""
+    _check_rank(scenario, j)
     n = scenario.n_users
-    caps = [nsnr_capacity(scenario, j, u) for u in range(1, n + 1)]
+    caps = _column(scenario, j, range(1, n + 1))
     harv = [nsnr_harvest(scenario, j, u) for u in range(1, n + 1)]
     return SchedulerAnalysis(caps, harv, f"nsnr j={j}")
 
 
 def _allowed_capacity_sums(scenario, allowed):
     # S_n = sum over allowed ranks of the rank-j ergodic capacities
+    scenario.shared_k_factor()
     allowed.validate_for(scenario.n_users)
-    return [
-        math.fsum(nsnr_capacity(scenario, j, u) for j in allowed.orders)
-        for u in range(1, scenario.n_users + 1)
-    ]
+    users = range(1, scenario.n_users + 1)
+    columns = [_column(scenario, j, users) for j in allowed.orders]
+    return [math.fsum(caps) for caps in zip(*columns)]
 
 
 def et_probabilities(scenario, allowed):
@@ -303,12 +339,9 @@ def et_harvest(scenario, allowed, probabilities, user_n):
     k = scenario.shared_k_factor()
     n = scenario.n_users
     params = scenario.user(user_n)
-    if k == 0.0:
-        expected_sum = math.fsum(harmonic_tail(n, j) for j in allowed.orders)
-    else:
-        expected_sum = math.fsum(
-            expected_ordered_gain(OrderSpec(n, j), k) for j in allowed.orders
-        )
+    expected_sum = math.fsum(
+        expected_ordered_gain(OrderSpec(n, j), k) for j in allowed.orders
+    )
     p_n = probabilities[user_n - 1]
     return (
         scenario.eta

@@ -1,8 +1,8 @@
 """Order statistics of N i.i.d. unit-mean normalized channel gains.
 
-Covers the density of the j-th ascendingly ordered gain, its expectation
-(harmonic partial sums for Rayleigh, quadrature otherwise), and the ranking
-of a realized gain vector.
+Covers the densities of the ascendingly ordered gains, their expectations
+(harmonic partial sums for Rayleigh, one vector quadrature otherwise), and
+the ranking of a realized gain vector.
 """
 
 import math
@@ -13,6 +13,12 @@ import numpy as np
 
 from .channel import normalized_cdf, normalized_pdf
 from .specfun import QuadratureSpec, integrate_semi_infinite
+
+# one error budget covers every entry of a rank table, so it is tighter than
+# the scalar default
+TABLE_QUADRATURE = QuadratureSpec(
+    rel_tol=1e-10, abs_tol=1e-13, max_subdivisions=2000, tail_cutoff_mass=1e-13
+)
 
 
 @dataclass(frozen=True)
@@ -41,66 +47,74 @@ def harmonic_tail(n, j):
     return math.fsum(1.0 / l for l in range(n - j + 1, n + 1))
 
 
-def ordered_pdf(spec, k_factor, x):
-    """Density of the j-th ascendingly ordered normalized gain at x.
+def ordered_pdfs(n_users, k_factor):
+    """The densities of all N ascending order statistics, as one function of x.
 
-    N C(N-1, j-1) f(x) F(x)^(j-1) (1-F(x))^(N-j); the binomial and the two
-    powers move to log space once N exceeds 30 so large user counts cannot
-    overflow.
+    The returned function maps x to an array of N + 1 values: element 0 is
+    the parent density f(x), element j the density
+    N C(N-1, j-1) f(x) F(x)^(j-1) (1 - F(x))^(N-j) of the j-th ordered
+    gain. f and F are evaluated once per x, and the binomials and powers
+    combine in log space so no user count can overflow.
     """
-    n = spec.n_users
-    j = spec.order_j
-    f = normalized_pdf(k_factor, x)
-    big_f = normalized_cdf(k_factor, x)
-    if n <= 30:
-        return (
-            n
-            * math.comb(n - 1, j - 1)
-            * f
-            * big_f ** (j - 1)
-            * (1.0 - big_f) ** (n - j)
-        )
-    if f == 0.0:
-        return 0.0
-    if (j > 1 and big_f == 0.0) or (j < n and big_f == 1.0):
-        return 0.0
-    log_pdf = math.log(n) + log_binom(n - 1, j - 1) + math.log(f)
-    if j > 1:
-        log_pdf += (j - 1) * math.log(big_f)
-    if j < n:
-        log_pdf += (n - j) * math.log1p(-big_f)
-    return math.exp(log_pdf)
+    n = n_users
+    log_coef = np.array([math.log(n) + log_binom(n - 1, j - 1) for j in range(1, n + 1)])
+    below = np.arange(n, dtype=float)  # j - 1
+    above = below[::-1].copy()  # N - j
+
+    def pdfs(x):
+        f = normalized_pdf(k_factor, x)
+        big_f = normalized_cdf(k_factor, x)
+        out = np.zeros(n + 1)
+        out[0] = f
+        if f == 0.0:
+            return out
+        if big_f == 0.0:
+            out[1] = n * f  # only the smallest gain can sit where F = 0
+        elif big_f == 1.0:
+            out[n] = n * f
+        else:
+            out[1:] = np.exp(
+                log_coef + math.log(f) + below * math.log(big_f) + above * math.log1p(-big_f)
+            )
+        return out
+
+    return pdfs
+
+
+def ordered_pdf(spec, k_factor, x):
+    """Density of the j-th ascendingly ordered normalized gain at x."""
+    return float(ordered_pdfs(spec.n_users, k_factor)(x)[spec.order_j])
+
+
+def order_envelope(n_users, k_factor):
+    """A cdf whose tail dominates every order statistic's density.
+
+    The slowest-decaying order (j = N) has tail mass at most N (1 - F).
+    """
+    return lambda x: 1.0 - n_users * (1.0 - normalized_cdf(k_factor, x))
 
 
 @lru_cache(maxsize=None)
-def _expected_ordered_ricean(n, j, k_factor):
-    spec = OrderSpec(n_users=n, order_j=j)
-
-    def integrand(x):
-        return x * ordered_pdf(spec, k_factor, x)
-
-    def envelope(x):
-        # the slowest-decaying order (j = N) has tail mass <= N (1 - F)
-        return 1.0 - n * (1.0 - normalized_cdf(k_factor, x))
-
-    return integrate_semi_infinite(
-        integrand,
-        QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, max_subdivisions=2000,
-                       tail_cutoff_mass=1e-13),
-        envelope_cdf=envelope,
+def _expected_ordered_ricean(n, k_factor):
+    pdfs = ordered_pdfs(n, k_factor)
+    means = integrate_semi_infinite(
+        lambda x: x * pdfs(x)[1:],
+        TABLE_QUADRATURE,
+        envelope_cdf=order_envelope(n, k_factor),
     )
+    return tuple(means.tolist())
 
 
 def expected_ordered_gain(spec, k_factor):
     """E of the j-th ascendingly ordered normalized gain.
 
     For k_factor = 0 this is the harmonic partial sum over the top j
-    reciprocals; otherwise a cached quadrature of x times the ordered
-    density. Strictly increasing in j.
+    reciprocals; otherwise one cached vector quadrature of x times every
+    ordered density gives all N expectations. Strictly increasing in j.
     """
     if k_factor == 0.0:
         return harmonic_tail(spec.n_users, spec.order_j)
-    return _expected_ordered_ricean(spec.n_users, spec.order_j, float(k_factor))
+    return _expected_ordered_ricean(spec.n_users, float(k_factor))[spec.order_j - 1]
 
 
 def rank_of_users(normalized_gains):

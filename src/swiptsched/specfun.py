@@ -2,8 +2,8 @@
 
 Provides the modified Bessel function I0 (plain and exponentially scaled),
 the first-order Marcum Q function, the exponential integral E1 (plain and
-scaled as e^x E1(x)), and an adaptive integrator for [0, inf) integrands
-with an optional cdf-based tail cutoff.
+scaled as e^x E1(x)), and an adaptive integrator for scalar- or
+array-valued integrands on [0, inf) with an optional cdf-based tail cutoff.
 """
 
 import math
@@ -11,8 +11,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy import special as _sc
+import scipy  # loads scipy.special and scipy.integrate on first use
+
 
 EULER_GAMMA = 0.5772156649015328606  # Euler-Mascheroni constant
 _LN2 = 0.6931471805599453094
@@ -45,7 +45,7 @@ def bessel_i0(x):
     _require_finite("x", x)
     if x < 0.0:
         raise ValueError("bessel_i0 is defined here for x >= 0 only")
-    return float(_sc.i0(x))
+    return float(scipy.special.i0(x))
 
 
 def bessel_i0_scaled(x):
@@ -54,7 +54,7 @@ def bessel_i0_scaled(x):
     _require_finite("x", x)
     if x < 0.0:
         raise ValueError("bessel_i0_scaled is defined here for x >= 0 only")
-    return float(_sc.i0e(x))
+    return float(scipy.special.i0e(x))
 
 
 def marcum_q1(a, b):
@@ -87,8 +87,8 @@ def marcum_q1(a, b):
     k_hi = int(lam + half_width) + 1
     k = np.arange(k_lo, k_hi + 1)
     # log-space Poisson weights so lambda in the hundreds cannot underflow
-    log_w = k * math.log(lam) - lam - _sc.gammaln(k + 1.0)
-    total = float(np.dot(np.exp(log_w), _sc.gammaincc(k + 1.0, y)))
+    log_w = k * math.log(lam) - lam - scipy.special.gammaln(k + 1.0)
+    total = float(np.dot(np.exp(log_w), scipy.special.gammaincc(k + 1.0, y)))
     return min(1.0, max(0.0, total))
 
 
@@ -202,43 +202,60 @@ def _tail_point(envelope_cdf, cutoff):
 def integrate_semi_infinite(f, spec=None, envelope_cdf=None, interior_points=()):
     """Integrate f over [0, inf) with adaptive quadrature.
 
-    When envelope_cdf is given (a cdf dominating the integrand's decay) the
-    upper limit is truncated where the remaining envelope mass drops below
-    spec.tail_cutoff_mass; otherwise QUADPACK's infinite-interval transform
-    is used. interior_points marks locations the integrand changes scale
-    (adaptive subdivision can step over a feature much narrower than the
-    interval without them); they require a finite upper limit, so they are
-    honored only alongside an envelope. Deterministic for identical inputs.
-    Raises ConvergenceError, carrying the best estimate and its error
-    bound, when the requested tolerance cannot be certified within
-    max_subdivisions.
+    f may return a float or a 1-d array; an array-valued f integrates every
+    component on one shared set of nodes, and the result is an array of the
+    same length. When envelope_cdf is given (a cdf dominating the
+    integrand's decay) the upper limit is truncated where the remaining
+    envelope mass drops below spec.tail_cutoff_mass and the finite interval
+    goes to scipy's quad_vec, whose tolerance applies to the largest
+    component; otherwise QUADPACK's infinite-interval transform is used,
+    which takes scalar integrands only. interior_points marks locations the
+    integrand changes scale (adaptive subdivision can step over a feature
+    much narrower than the interval without them); they require a finite
+    upper limit, so they are honored only alongside an envelope.
+    Deterministic for identical inputs. Raises ConvergenceError, carrying
+    the best estimate and its error bound, when the requested tolerance
+    cannot be certified within max_subdivisions.
     """
     if spec is None:
         spec = DEFAULT_QUADRATURE
-    upper = np.inf
-    points = None
-    if envelope_cdf is not None:
+    if envelope_cdf is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+            out = scipy.integrate.quad(
+                f,
+                0.0,
+                np.inf,
+                epsabs=spec.abs_tol,
+                epsrel=spec.rel_tol,
+                limit=spec.max_subdivisions,
+                full_output=1,
+            )
+        value, abserr = out[0], out[1]
+        # out has a 4th element (the explanation string) only when QUADPACK
+        # flagged trouble
+        failed = len(out) > 3
+    else:
         upper = _tail_point(envelope_cdf, spec.tail_cutoff_mass)
         inside = sorted(p for p in interior_points if 0.0 < p < upper)
-        points = inside or None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(
+        value, abserr, info = scipy.integrate.quad_vec(
             f,
             0.0,
             upper,
             epsabs=spec.abs_tol,
             epsrel=spec.rel_tol,
+            norm="max",
             limit=spec.max_subdivisions,
-            points=points,
-            full_output=1,
+            points=inside or None,
+            full_output=True,
         )
-    value, abserr = out[0], out[1]
-    tolerance = max(spec.abs_tol, spec.rel_tol * abs(value))
-    # out has a 4th element (the explanation string) only when QUADPACK
-    # flagged trouble; a roundoff-limited result within 10x tolerance is
-    # still accepted
-    if len(out) > 3 and abserr > 10.0 * tolerance:
+        if np.ndim(value) == 0:
+            value = float(value)
+        failed = info.status != 0
+    tolerance = max(spec.abs_tol, spec.rel_tol * float(np.max(np.abs(value))))
+    # a roundoff-limited result within 10x tolerance is still accepted; a
+    # NaN error bound never is
+    if failed and not abserr <= 10.0 * tolerance:
         raise ConvergenceError(
             f"quadrature error bound {abserr:.3e} exceeds tolerance {tolerance:.3e}",
             estimate=value,

@@ -7,6 +7,7 @@ with itself.
 
 import math
 
+import numpy as np
 import pytest
 
 from swiptsched.specfun import (
@@ -220,3 +221,32 @@ def test_integrate_divergent_raises_with_estimate():
     assert err.value.estimate is not None
     assert err.value.error_bound is not None
     assert err.value.error_bound > 0.0
+
+
+def _exponential_moments(x):
+    return np.array([math.exp(-x), math.sqrt(x) * math.exp(-x), x * x * math.exp(-x)])
+
+
+def test_integrate_vector_matches_each_component():
+    def cdf(x):
+        return 1.0 - math.exp(-x)
+
+    vector = integrate_semi_infinite(_exponential_moments, envelope_cdf=cdf)
+    assert vector.shape == (3,)
+    for i, want in enumerate((1.0, math.sqrt(math.pi) / 2.0, 2.0)):
+        scalar = integrate_semi_infinite(lambda x: _exponential_moments(x)[i], envelope_cdf=cdf)
+        assert isinstance(scalar, float)
+        assert vector[i] == pytest.approx(scalar, rel=1e-9)
+        assert vector[i] == pytest.approx(want, rel=1e-9)
+
+
+def test_integrate_vector_out_of_subdivisions_raises_with_estimate():
+    with pytest.raises(ConvergenceError) as err:
+        integrate_semi_infinite(
+            _exponential_moments,
+            QuadratureSpec(max_subdivisions=1),
+            envelope_cdf=lambda x: 1.0 - math.exp(-x),
+        )
+    assert np.shape(err.value.estimate) == (3,)
+    assert np.all(np.isfinite(err.value.estimate))
+    assert err.value.error_bound > 10.0 * 1e-9 * 2.0
