@@ -13,7 +13,7 @@ Run from the repository root:
 import pathlib
 
 from swiptsched import nsnr_analysis, rr_analysis
-from swiptsched.cli import parse_config
+from swiptsched import parse_config
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "indoor_ricean_n7.ini"
 

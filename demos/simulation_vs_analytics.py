@@ -22,7 +22,7 @@ from swiptsched import (
     rr_analysis,
     run,
 )
-from swiptsched.cli import parse_config
+from swiptsched import parse_config
 
 CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "rayleigh_n4.ini"
 SLOTS = 200_000

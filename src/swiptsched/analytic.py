@@ -32,6 +32,11 @@ _LN2 = math.log(2.0)
 # equality in the L = N condition, so exact comparison would flip on rounding
 _FEAS_SLACK = 1e-9
 
+# a Rayleigh alternating sum whose partial sums peak above this multiple of
+# the total has cancelled too far; accepted ratios from 1e3 up to it leave
+# errors up to ~4e-10 against a 50-digit evaluation, below 1e3 ~3e-13
+_CANCELLATION_LIMIT = 1e6
+
 
 class CancellationWarning(RuntimeWarning):
     """Alternating-sum evaluation lost most of its significant digits."""
@@ -228,17 +233,24 @@ def _rayleigh_order_capacity_closed(n, j, gbar):
     return math.comb(n - 1, j - 1) / _LN2 * total, ratio
 
 
+def _cancelled(n, j, ratio, consequence=""):
+    # warn, and say so, when the rank-j alternating sum cancelled too far
+    if ratio <= _CANCELLATION_LIMIT:
+        return False
+    warnings.warn(
+        f"alternating sum for n={n}, j={j} lost ~{math.log10(ratio):.0f} digits"
+        + consequence,
+        CancellationWarning,
+        stacklevel=3,
+    )
+    return True
+
+
 @lru_cache(maxsize=None)
 def _nsnr_capacity_rayleigh(n, j, gbar):
     # the closed form, or None when its alternating sum cancels
     value, ratio = _rayleigh_order_capacity_closed(n, j, gbar)
-    if ratio > 1e6:
-        warnings.warn(
-            f"alternating sum for n={n}, j={j} lost ~{math.log10(ratio):.0f} digits; "
-            "falling back to quadrature",
-            CancellationWarning,
-            stacklevel=3,
-        )
+    if _cancelled(n, j, ratio, "; falling back to quadrature"):
         return None
     return value
 
@@ -270,12 +282,7 @@ def nsnr_capacity(scenario, j, user_n, method="auto"):
             raise ValueError("the closed form requires Rayleigh fading (k_factor 0)")
         n = scenario.n_users
         value, ratio = _rayleigh_order_capacity_closed(n, j, scenario.avg_snr(user_n))
-        if ratio > 1e6:
-            warnings.warn(
-                f"alternating sum for n={n}, j={j} lost ~{math.log10(ratio):.0f} digits",
-                CancellationWarning,
-                stacklevel=2,
-            )
+        _cancelled(n, j, ratio)
         return value
     return _column(scenario, j, (user_n,), method)[0]
 
@@ -351,7 +358,10 @@ def et_harvest(scenario, allowed, probabilities, user_n):
     )
 
 
-def _validate_probability_vector(probabilities, n_users):
+def _per_user_cap_check(probabilities, allowed_size, n_users):
+    # the validated probabilities and the violations of p_n <= |S_a|/N
+    if not 1 <= allowed_size <= n_users:
+        raise ValueError(f"allowed_size must lie in 1..{n_users}")
     p = [float(v) for v in probabilities]
     if len(p) != n_users:
         raise ValueError(f"expected {n_users} probabilities, got {len(p)}")
@@ -360,7 +370,13 @@ def _validate_probability_vector(probabilities, n_users):
     total = math.fsum(p)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {total!r}")
-    return p
+    cap = allowed_size / n_users
+    violations = [
+        FeasibilityViolation("per_user", (i + 1,), v, cap)
+        for i, v in enumerate(p)
+        if v > cap + _FEAS_SLACK
+    ]
+    return p, violations
 
 
 def _subset_sum_rhs(n_users, allowed_size, l_value):
@@ -379,16 +395,7 @@ def et_feasibility(probabilities, allowed_size, n_users):
     because the bound depends only on L, making the maximal-sum subset the
     binding one (the exhaustive variant is the recorded oracle for this).
     """
-    if not 1 <= allowed_size <= n_users:
-        raise ValueError(f"allowed_size must lie in 1..{n_users}")
-    p = _validate_probability_vector(probabilities, n_users)
-    violations = []
-    cap = allowed_size / n_users
-    for i, v in enumerate(p):
-        if v > cap + _FEAS_SLACK:
-            violations.append(
-                FeasibilityViolation("per_user", (i + 1,), v, cap)
-            )
+    p, violations = _per_user_cap_check(probabilities, allowed_size, n_users)
     by_desc = sorted(range(n_users), key=lambda i: (-p[i], i))
     prefix = 0.0
     sums = []
@@ -410,20 +417,11 @@ def et_feasibility_exhaustive(probabilities, allowed_size, n_users):
     """Reference feasibility test enumerating every subset of every size L.
 
     Exponential in N and guarded to N <= 20; exists as the oracle for the
-    sorted-prefix fast path.
+    sorted-prefix fast path, sharing only its input checks and per-user cap.
     """
     if n_users > 20:
         raise ValueError("exhaustive feasibility is guarded to n_users <= 20")
-    if not 1 <= allowed_size <= n_users:
-        raise ValueError(f"allowed_size must lie in 1..{n_users}")
-    p = _validate_probability_vector(probabilities, n_users)
-    violations = []
-    cap = allowed_size / n_users
-    for i, v in enumerate(p):
-        if v > cap + _FEAS_SLACK:
-            violations.append(
-                FeasibilityViolation("per_user", (i + 1,), v, cap)
-            )
+    p, violations = _per_user_cap_check(probabilities, allowed_size, n_users)
     for l_value in range(allowed_size, n_users + 1):
         rhs = _subset_sum_rhs(n_users, allowed_size, l_value)
         for combo in itertools.combinations(range(n_users), l_value):

@@ -1,4 +1,4 @@
-"""Command-line front end: configs, sweeps, feasibility reports, CSV output.
+"""Command-line front end: sweeps, feasibility reports, CSV output.
 
 Subcommands: analyze (analytic rate-energy points), simulate (Monte Carlo
 points), sweep (grids of policies, optionally in a worker pool), feasibility
@@ -10,7 +10,6 @@ subcommand found the scenario infeasible, 3 numerical convergence failure.
 """
 
 import argparse
-import configparser
 import csv
 import functools
 import json
@@ -22,13 +21,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
-from .analytic import (
-    AllowedOrderSet,
-    et_analysis,
-    nsnr_analysis,
-    rr_analysis,
-)
-from .channel import FadingParams, Scenario, dbm_to_watt
+from .analytic import AllowedOrderSet, et_analysis, nsnr_analysis, rr_analysis
+from .config import ConfigError, link_budget_omega, parse_config
 from .sim import OrderET, OrderNSNR, RoundRobin, SimConfig, run
 from .specfun import ConvergenceError
 
@@ -47,207 +41,103 @@ CSV_HEADER = [
     "feasible",
     "notes",
 ]
-_SPEED_OF_LIGHT = 299792458.0
+MODES = ("analytic", "simulate", "both")
 
 
-class ConfigError(ValueError):
-    """A scenario configuration could not be understood or validated."""
-
-
-_POWER_RE = re.compile(r"^\s*([-+0-9.eE]+)\s*(w|dbm)\s*$", re.IGNORECASE)
-
-
-def _parse_power(text, where):
-    m = _POWER_RE.match(text)
-    if not m:
-        raise ConfigError(
-            f"{where}: expected '<value> W' or '<value> dBm', got {text!r}"
-        )
+def _allowed_within(allowed, n_users):
     try:
-        value = float(m.group(1))
-    except ValueError:
-        raise ConfigError(f"{where}: {m.group(1)!r} is not a number") from None
-    unit = m.group(2).lower()
-    watts = dbm_to_watt(value) if unit == "dbm" else value
-    if watts <= 0.0:
-        raise ConfigError(f"{where}: power must be positive, got {watts!r} W")
-    return watts
-
-
-def _parse_float_list(text, where):
-    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
-    try:
-        return [float(p) for p in parts]
+        allowed.validate_for(n_users)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(str(exc)) from None
+    return allowed
 
 
-def parse_allowed(text):
-    """Parse an order-set argument: a range like 1-2 or a list like 1,3,5."""
+def parse_allowed(text, n_users=None):
+    """Parse an order-set argument: a range like 1-2 or a list like 1,3,5.
+
+    With n_users given, every order must also lie in 1..n_users.
+    """
     text = text.strip()
     m = re.fullmatch(r"(\d+)\s*-\s*(\d+)", text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
             raise ConfigError(f"empty order range {text!r}")
-        return AllowedOrderSet(tuple(range(lo, hi + 1)))
-    try:
-        orders = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse order set {text!r}") from None
-    if not orders:
-        raise ConfigError(f"cannot parse order set {text!r}")
-    return AllowedOrderSet(orders)
-
-
-def link_budget_omega(
-    frequency_hz,
-    distance_m,
-    exponent,
-    ref_loss_db=None,
-    tx_gain_dbi=0.0,
-    rx_gain_dbi=0.0,
-):
-    """Mean channel power gain from a log-distance path loss model.
-
-    Omega = 10^(-(PL(1 m) + 10 exponent log10(d) - G_tx - G_rx) / 10). The
-    1 m reference loss defaults to free space, 20 log10(4 pi f / c). Note
-    the bundled omega lists are treated as already inclusive of any antenna
-    gains, so the gain arguments default to 0 dBi here.
-    """
-    if distance_m <= 0.0:
-        raise ValueError("distance must be positive")
-    if frequency_hz <= 0.0:
-        raise ValueError("frequency must be positive")
-    if ref_loss_db is None:
-        ref_loss_db = 20.0 * math.log10(4.0 * math.pi * frequency_hz / _SPEED_OF_LIGHT)
-    pl_db = ref_loss_db + 10.0 * exponent * math.log10(distance_m)
-    return 10.0 ** (-(pl_db - tx_gain_dbi - rx_gain_dbi) / 10.0)
-
-
-def parse_config(path):
-    """Read a scenario file and return a validated Scenario in SI units.
-
-    INI layout: [system] n_users, tx_power, noise_power (each '<value> W'
-    or '<value> dBm'), eta; [fading] model = rayleigh | ricean plus
-    k_factor for ricean; exactly one of [gains] omega = <list> or
-    [link_budget] with frequency_hz, distances_m, path_loss_exponent and
-    optional ref_loss_db_at_1m / antenna gains.
-    """
-    cp = configparser.ConfigParser()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    def need(section, option):
-        if not cp.has_option(section, option):
-            raise ConfigError(f"[{section}] {option}: missing")
-        return cp.get(section, option)
-
-    for section in ("system", "fading"):
-        if not cp.has_section(section):
-            raise ConfigError(f"missing [{section}] section")
-    has_gains = cp.has_section("gains")
-    has_budget = cp.has_section("link_budget")
-    if has_gains == has_budget:
-        raise ConfigError("exactly one of [gains] and [link_budget] is required")
-
-    try:
-        n_users = int(need("system", "n_users"))
-    except ValueError:
-        raise ConfigError("[system] n_users: must be an integer") from None
-    tx_power = _parse_power(need("system", "tx_power"), "[system] tx_power")
-    noise_power = _parse_power(need("system", "noise_power"), "[system] noise_power")
-    try:
-        eta = float(need("system", "eta"))
-    except ValueError:
-        raise ConfigError("[system] eta: must be a number") from None
-
-    model = need("fading", "model").strip().lower()
-    if model == "rayleigh":
-        k_factor = 0.0
-        if cp.has_option("fading", "k_factor") and float(cp.get("fading", "k_factor")):
-            raise ConfigError("[fading] k_factor: must be 0 (or absent) for rayleigh")
-    elif model == "ricean":
+        orders = tuple(range(lo, hi + 1))
+    else:
         try:
-            k_factor = float(need("fading", "k_factor"))
+            orders = tuple(int(p) for p in text.split(",") if p.strip())
         except ValueError:
-            raise ConfigError("[fading] k_factor: must be a number") from None
-    else:
-        raise ConfigError(f"[fading] model: expected rayleigh or ricean, got {model!r}")
-
-    if has_gains:
-        omegas = _parse_float_list(need("gains", "omega"), "[gains] omega")
-        if len(omegas) != n_users:
-            raise ConfigError(
-                f"[gains] omega: expected {n_users} values, got {len(omegas)}"
-            )
-    else:
-        freq = float(need("link_budget", "frequency_hz"))
-        distances = _parse_float_list(
-            need("link_budget", "distances_m"), "[link_budget] distances_m"
-        )
-        if len(distances) != n_users:
-            raise ConfigError(
-                f"[link_budget] distances_m: expected {n_users} values, "
-                f"got {len(distances)}"
-            )
-        exponent = float(need("link_budget", "path_loss_exponent"))
-        ref = (
-            float(cp.get("link_budget", "ref_loss_db_at_1m"))
-            if cp.has_option("link_budget", "ref_loss_db_at_1m")
-            else None
-        )
-        tx_gain = float(cp.get("link_budget", "tx_antenna_gain_dbi", fallback="0"))
-        rx_gain = float(cp.get("link_budget", "rx_antenna_gain_dbi", fallback="0"))
-        try:
-            omegas = [
-                link_budget_omega(freq, d, exponent, ref, tx_gain, rx_gain)
-                for d in distances
-            ]
-        except ValueError as exc:
-            raise ConfigError(f"[link_budget]: {exc}") from None
-
+            raise ConfigError(f"cannot parse order set {text!r}") from None
     try:
-        users = tuple(FadingParams(omega=om, k_factor=k_factor) for om in omegas)
-        return Scenario(
-            users=users, tx_power_w=tx_power, noise_power_w=noise_power, eta=eta
-        )
+        allowed = AllowedOrderSet(orders)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"order set {text!r}: {exc}") from None
+    return allowed if n_users is None else _allowed_within(allowed, n_users)
 
 
-def scenario_to_config_text(scenario):
-    """Emit a config file equivalent to the scenario (gains path, watts).
+def _check_order(j, n_users):
+    if not 1 <= j <= n_users:
+        raise ConfigError(f"order {j} outside 1..{n_users}")
+    return j
 
-    Inverse of parse_config for scenarios a config can express, which
-    requires a K factor shared by all users.
+
+@dataclass(frozen=True)
+class Scheme:
+    """One scheduler as the CLI sees it.
+
+    check validates a parameter for an N-user scenario, label renders the
+    CSV param cell, policy builds the simulator policy and analysis returns
+    (SchedulerAnalysis, ETSolution or None). option names the
+    analyze/simulate/compare argument carrying the parameter and parse
+    reads it; a sweep lists the parameters in the SweepSpec field
+    sweep_field, called noun in messages (all None for a scheme without a
+    parameter). may_be_infeasible marks a scheme whose simulated rows
+    report the analytic verdict too.
     """
-    k = scenario.shared_k_factor()
-    model = "rayleigh" if k == 0.0 else "ricean"
-    lines = [
-        "[system]",
-        f"n_users = {scenario.n_users}",
-        f"tx_power = {scenario.tx_power_w!r} W",
-        f"noise_power = {scenario.noise_power_w!r} W",
-        f"eta = {scenario.eta!r}",
-        "",
-        "[fading]",
-        f"model = {model}",
-    ]
-    if model == "ricean":
-        lines.append(f"k_factor = {k!r}")
-    lines += [
-        "",
-        "[gains]",
-        "omega = " + ", ".join(repr(u.omega) for u in scenario.users),
-        "",
-    ]
-    return "\n".join(lines)
+
+    check: object
+    label: object
+    policy: object
+    analysis: object
+    option: str = None
+    parse: object = None
+    sweep_field: str = None
+    noun: str = None
+    may_be_infeasible: bool = False
+
+
+# the lambdas look the analyses up at call time, so a wrapper installed on
+# a module attribute sees every call made through the table
+SCHEMES = {
+    "rr": Scheme(
+        check=lambda _, n_users: None,
+        label=lambda _: "",
+        policy=lambda _: RoundRobin(),
+        analysis=lambda scenario, _: (rr_analysis(scenario), None),
+    ),
+    "nsnr": Scheme(
+        option="order",
+        parse=int,
+        check=_check_order,
+        sweep_field="nsnr_orders",
+        noun="orders",
+        label=lambda j: f"j={j}",
+        policy=lambda j: OrderNSNR(order_j=j),
+        analysis=lambda scenario, j: (nsnr_analysis(scenario, j), None),
+    ),
+    "et": Scheme(
+        option="allowed",
+        parse=parse_allowed,
+        check=_allowed_within,
+        sweep_field="et_sets",
+        noun="order sets",
+        label=lambda allowed: f"Sa={allowed}",
+        policy=lambda allowed: OrderET(allowed=allowed),
+        analysis=lambda scenario, allowed: et_analysis(scenario, allowed),
+        may_be_infeasible=True,
+    ),
+}
 
 
 def _resolve_config_path(path):
@@ -272,26 +162,6 @@ def _fmt(value):
     return str(value)
 
 
-def _row(scenario, scheme, param, user_n, **fields):
-    params = scenario.user(user_n)
-    base = {
-        "scheme": scheme,
-        "param": param,
-        "user": user_n,
-        "omega": params.omega,
-        "k_factor": params.k_factor,
-        "capacity_bps_hz": None,
-        "harvest_w": None,
-        "sched_prob": None,
-        "cap_stderr": None,
-        "harv_stderr": None,
-        "feasible": None,
-        "notes": "",
-    }
-    base.update(fields)
-    return base
-
-
 def _violation_summary(solution):
     worst = min(
         (v for v in solution.violations if v.l_value is not None),
@@ -304,83 +174,17 @@ def _violation_summary(solution):
     return head
 
 
-def _analytic_point_rows(scenario, scheme, param):
-    n = scenario.n_users
-    if scheme == "rr":
-        analysis = rr_analysis(scenario)
-        param_str = ""
-        sched = [1.0 / n] * n
-        feasible = True
-        note = "analytic"
-    elif scheme == "nsnr":
-        analysis = nsnr_analysis(scenario, param)
-        param_str = f"j={param}"
-        sched = [1.0 / n] * n
-        feasible = True
-        note = "analytic"
-    elif scheme == "et":
-        analysis, solution = et_analysis(scenario, param)
-        param_str = f"Sa={param}"
-        if not solution.feasible:
-            note = "analytic; " + _violation_summary(solution)
-            return [
-                _row(scenario, scheme, param_str, u, feasible=False, notes=note)
-                for u in range(1, n + 1)
-            ]
-        sched = list(solution.probabilities)
-        feasible = True
-        note = "analytic"
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    return [
-        _row(
-            scenario,
-            scheme,
-            param_str,
-            u,
-            capacity_bps_hz=analysis.per_user_capacity[u - 1],
-            harvest_w=analysis.per_user_harvest[u - 1],
-            sched_prob=sched[u - 1],
-            feasible=feasible,
-            notes=note,
-        )
-        for u in range(1, n + 1)
-    ]
-
-
-def _policy_for(scheme, param):
-    if scheme == "rr":
-        return RoundRobin(), ""
-    if scheme == "nsnr":
-        return OrderNSNR(order_j=param), f"j={param}"
-    if scheme == "et":
-        return OrderET(allowed=param), f"Sa={param}"
-    raise ConfigError(f"unknown scheme {scheme!r}")
-
-
-def _simulated_point_rows(scenario, scheme, param, sim_config):
-    policy, param_str = _policy_for(scheme, param)
-    result = run(scenario, policy, sim_config)
-    feasible = True
-    if scheme == "et":
-        _, solution = et_analysis(scenario, param)
-        feasible = solution.feasible
-    return [
-        _row(
-            scenario,
-            scheme,
-            param_str,
-            u,
-            capacity_bps_hz=result.per_user_capacity_mean[u - 1],
-            harvest_w=result.per_user_harvest_mean[u - 1],
-            sched_prob=result.per_user_schedule_frequency[u - 1],
-            cap_stderr=result.per_user_capacity_stderr[u - 1],
-            harv_stderr=result.per_user_harvest_stderr[u - 1],
-            feasible=feasible,
-            notes="simulated",
-        )
-        for u in range(1, scenario.n_users + 1)
-    ]
+def _point_rows(scenario, name, param, notes, feasible, **columns):
+    # one CSV row per user; each column is a per-user sequence of values
+    label = SCHEMES[name].label(param)
+    rows = []
+    for u, user in enumerate(scenario.users):
+        row = dict.fromkeys(CSV_HEADER)
+        row.update(scheme=name, param=label, user=u + 1, omega=user.omega)
+        row.update(k_factor=user.k_factor, feasible=feasible, notes=notes)
+        row.update((key, values[u]) for key, values in columns.items())
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -398,55 +202,80 @@ class SweepSpec:
         if not self.schemes:
             raise ConfigError("sweep needs at least one scheme")
         for s in self.schemes:
-            if s not in ("rr", "nsnr", "et"):
+            if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
-        if self.mode not in ("analytic", "simulate", "both"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode != "analytic" and self.sim is None:
             raise ConfigError(f"mode {self.mode} needs simulation settings")
+        if self.jobs is not None and self.jobs < 0:
+            raise ConfigError(f"jobs must be >= 0 (0 for all cores), got {self.jobs}")
 
 
 def _sweep_points(scenario, spec):
     points = []
-    for scheme in spec.schemes:
-        if scheme == "rr":
-            points.append(("rr", None))
-        elif scheme == "nsnr":
-            if not spec.nsnr_orders:
-                raise ConfigError("scheme nsnr selected but no orders given")
-            for j in spec.nsnr_orders:
-                if not 1 <= j <= scenario.n_users:
-                    raise ConfigError(f"order {j} outside 1..{scenario.n_users}")
-                points.append(("nsnr", j))
-        else:
-            if not spec.et_sets:
-                raise ConfigError("scheme et selected but no order sets given")
-            for allowed in spec.et_sets:
-                allowed.validate_for(scenario.n_users)
-                points.append(("et", allowed))
+    for name in spec.schemes:
+        scheme = SCHEMES[name]
+        params = getattr(spec, scheme.sweep_field) if scheme.sweep_field else (None,)
+        if not params:
+            raise ConfigError(f"scheme {name} selected but no {scheme.noun} given")
+        points.extend((name, scheme.check(p, scenario.n_users)) for p in params)
     return points
 
 
 def _eval_sweep_point(scenario, mode, sim_config, point):
-    scheme, param = point
+    # the analysis runs once: for the analytic rows, and for the verdict
+    # the simulated rows of a scheme that may be infeasible carry
+    name, param = point
+    scheme = SCHEMES[name]
     rows = []
-    if mode in ("analytic", "both"):
-        rows.extend(_analytic_point_rows(scenario, scheme, param))
-    if mode in ("simulate", "both"):
-        rows.extend(_simulated_point_rows(scenario, scheme, param, sim_config))
+    feasible = True
+    if mode != "simulate" or scheme.may_be_infeasible:
+        analysis, solution = scheme.analysis(scenario, param)
+        feasible = solution is None or solution.feasible
+    if mode != "simulate" and not feasible:
+        note = "analytic; " + _violation_summary(solution)
+        rows += _point_rows(scenario, name, param, note, False)
+    elif mode != "simulate":
+        n = scenario.n_users
+        rows += _point_rows(
+            scenario,
+            name,
+            param,
+            "analytic",
+            True,
+            capacity_bps_hz=analysis.per_user_capacity,
+            harvest_w=analysis.per_user_harvest,
+            sched_prob=solution.probabilities if solution else [1.0 / n] * n,
+        )
+    if mode != "analytic":
+        result = run(scenario, scheme.policy(param), sim_config)
+        rows += _point_rows(
+            scenario,
+            name,
+            param,
+            "simulated",
+            feasible,
+            capacity_bps_hz=result.per_user_capacity_mean,
+            harvest_w=result.per_user_harvest_mean,
+            sched_prob=result.per_user_schedule_frequency,
+            cap_stderr=result.per_user_capacity_stderr,
+            harv_stderr=result.per_user_harvest_stderr,
+        )
     return rows
 
 
 def run_sweep(scenario, spec):
     """Evaluate every sweep point and return the CSV rows in stable order.
 
-    Points are independent, so jobs > 1 dispatches them to a process pool;
-    the row order matches the point enumeration regardless of completion
-    order, keeping output bytes identical across job counts.
+    Points are independent, so jobs > 1 dispatches them to a process pool
+    (jobs 0 or None: one worker per core); the row order matches the point
+    enumeration regardless of completion order, keeping output bytes
+    identical across job counts.
     """
     points = _sweep_points(scenario, spec)
     evaluate = functools.partial(_eval_sweep_point, scenario, spec.mode, spec.sim)
-    jobs = spec.jobs if spec.jobs is not None else os.cpu_count() or 1
+    jobs = spec.jobs or os.cpu_count() or 1
     if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(evaluate, points))
@@ -487,7 +316,11 @@ def write_csv(stream, scenario, rows, context=None):
         writer.writerow([_fmt(row[key]) for key in CSV_HEADER])
 
 
-def _emit_rows(args, scenario, rows, context):
+def _emit_rows(args, scenario, rows, sim):
+    # the run comment records the mode, plus seed and length when simulated
+    context = {"mode": args.mode}
+    if sim is not None:
+        context.update(seed=args.seed, slots=args.slots)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh, scenario, rows, context)
@@ -496,46 +329,32 @@ def _emit_rows(args, scenario, rows, context):
 
 
 def _policy_args(args, scenario):
-    scheme = args.scheme
-    if scheme == "rr":
-        if getattr(args, "order", None) or getattr(args, "allowed", None):
-            raise ConfigError("scheme rr takes neither --order nor --allowed")
-        return "rr", None
-    if scheme == "nsnr":
-        if getattr(args, "order", None) is None:
-            raise ConfigError("scheme nsnr needs --order")
-        if not 1 <= args.order <= scenario.n_users:
-            raise ConfigError(f"--order outside 1..{scenario.n_users}")
-        return "nsnr", args.order
-    if getattr(args, "allowed", None) is None:
-        raise ConfigError("scheme et needs --allowed")
-    allowed = parse_allowed(args.allowed)
-    allowed.validate_for(scenario.n_users)
-    return "et", allowed
-
-
-def _cmd_analyze(args):
-    scenario = parse_config(_resolve_config_path(args.config))
-    scheme, param = _policy_args(args, scenario)
-    rows = _analytic_point_rows(scenario, scheme, param)
-    _emit_rows(args, scenario, rows, {"mode": "analytic"})
-    return 0
+    name = args.scheme
+    scheme = SCHEMES[name]
+    if scheme.option is None:
+        if args.order is not None or args.allowed is not None:
+            raise ConfigError(f"scheme {name} takes neither --order nor --allowed")
+        return name, None
+    value = getattr(args, scheme.option)
+    if value is None:
+        raise ConfigError(f"scheme {name} needs --{scheme.option}")
+    return name, scheme.check(scheme.parse(value), scenario.n_users)
 
 
 def _sim_config_from(args):
-    return SimConfig(n_slots=args.slots, seed=args.seed, warmup_slots=args.warmup)
+    try:
+        return SimConfig(n_slots=args.slots, seed=args.seed, warmup_slots=args.warmup)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _cmd_simulate(args):
+def _cmd_point(args):
+    # analyze and simulate: one policy in one mode
     scenario = parse_config(_resolve_config_path(args.config))
-    scheme, param = _policy_args(args, scenario)
-    rows = _simulated_point_rows(scenario, scheme, param, _sim_config_from(args))
-    _emit_rows(
-        args,
-        scenario,
-        rows,
-        {"mode": "simulate", "seed": args.seed, "slots": args.slots},
-    )
+    point = _policy_args(args, scenario)
+    sim = _sim_config_from(args) if args.mode == "simulate" else None
+    rows = _eval_sweep_point(scenario, args.mode, sim, point)
+    _emit_rows(args, scenario, rows, sim)
     return 0
 
 
@@ -544,9 +363,7 @@ def _cmd_sweep(args):
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     orders = tuple(parse_allowed(args.orders).orders) if args.orders else ()
     et_sets = tuple(parse_allowed(s) for s in args.set or ())
-    sim = None
-    if args.mode != "analytic":
-        sim = _sim_config_from(args)
+    sim = _sim_config_from(args) if args.mode != "analytic" else None
     spec = SweepSpec(
         schemes=schemes,
         nsnr_orders=orders,
@@ -555,18 +372,13 @@ def _cmd_sweep(args):
         sim=sim,
         jobs=args.jobs,
     )
-    rows = run_sweep(scenario, spec)
-    context = {"mode": args.mode}
-    if sim is not None:
-        context.update(seed=args.seed, slots=args.slots)
-    _emit_rows(args, scenario, rows, context)
+    _emit_rows(args, scenario, run_sweep(scenario, spec), sim)
     return 0
 
 
 def _cmd_feasibility(args):
     scenario = parse_config(_resolve_config_path(args.config))
-    allowed = parse_allowed(args.allowed)
-    allowed.validate_for(scenario.n_users)
+    allowed = parse_allowed(args.allowed, scenario.n_users)
     _, solution = et_analysis(scenario, allowed)
     print(f"allowed orders: {allowed}")
     for i, p in enumerate(solution.probabilities, start=1):
@@ -605,32 +417,18 @@ def _cmd_feasibility(args):
 
 def _cmd_compare(args):
     scenario = parse_config(_resolve_config_path(args.config))
-    scheme, param = _policy_args(args, scenario)
-    policy, param_str = _policy_for(scheme, param)
-    sim_config = _sim_config_from(args)
-    result = run(scenario, policy, sim_config)
+    name, param = _policy_args(args, scenario)
+    scheme = SCHEMES[name]
+    result = run(scenario, scheme.policy(param), _sim_config_from(args))
+    analysis, solution = scheme.analysis(scenario, param)
 
-    analytic_caps = analytic_harv = None
-    verdict_note = ""
-    if scheme == "et":
-        analysis, solution = et_analysis(scenario, param)
-        if solution.feasible:
-            analytic_caps = analysis.per_user_capacity
-            analytic_harv = analysis.per_user_harvest
-        else:
-            verdict_note = _violation_summary(solution)
-    elif scheme == "rr":
-        analysis = rr_analysis(scenario)
-        analytic_caps = analysis.per_user_capacity
-        analytic_harv = analysis.per_user_harvest
-    else:
-        analysis = nsnr_analysis(scenario, param)
-        analytic_caps = analysis.per_user_capacity
-        analytic_harv = analysis.per_user_harvest
-
-    print(f"scheme: {scheme} {param_str}".rstrip())
-    if verdict_note:
-        print(f"analytic side: {verdict_note}; comparison limited to simulation")
+    print(f"scheme: {name} {scheme.label(param)}".rstrip())
+    if solution is not None and not solution.feasible:
+        analysis = None
+        print(
+            f"analytic side: {_violation_summary(solution)}; "
+            "comparison limited to simulation"
+        )
     header = f"{'user':>4} {'quantity':>9} {'analytic':>14} {'simulated':>14} {'stderr':>12} {'z':>8}"
     print(header)
     flagged = 0
@@ -638,27 +436,27 @@ def _cmd_compare(args):
         pairs = [
             (
                 "capacity",
-                None if analytic_caps is None else analytic_caps[u - 1],
+                None if analysis is None else analysis.per_user_capacity[u - 1],
                 result.per_user_capacity_mean[u - 1],
                 result.per_user_capacity_stderr[u - 1],
             ),
             (
                 "harvest",
-                None if analytic_harv is None else analytic_harv[u - 1],
+                None if analysis is None else analysis.per_user_harvest[u - 1],
                 result.per_user_harvest_mean[u - 1],
                 result.per_user_harvest_stderr[u - 1],
             ),
         ]
-        for name, ana, simv, se in pairs:
+        for quantity, ana, simv, se in pairs:
             if ana is None:
-                print(f"{u:>4} {name:>9} {'-':>14} {simv:>14.6g} {se:>12.3g} {'-':>8}")
+                print(f"{u:>4} {quantity:>9} {'-':>14} {simv:>14.6g} {se:>12.3g} {'-':>8}")
                 continue
             z = (simv - ana) / se if se > 0.0 else math.inf * (simv != ana)
             mark = ""
             if abs(z) > 4.0:
                 mark = "  <-- |z| > 4"
                 flagged += 1
-            print(f"{u:>4} {name:>9} {ana:>14.6g} {simv:>14.6g} {se:>12.3g} {z:>8.2f}{mark}")
+            print(f"{u:>4} {quantity:>9} {ana:>14.6g} {simv:>14.6g} {se:>12.3g} {z:>8.2f}{mark}")
     if flagged:
         print(f"{flagged} value(s) beyond 4 standard errors")
     else:
@@ -669,14 +467,17 @@ def _cmd_compare(args):
 def _cmd_linkbudget(args):
     print(f"{'distance_m':>10} {'omega':>14} {'path_gain_db':>13}")
     for d in args.distance:
-        omega = link_budget_omega(
-            args.frequency_hz,
-            d,
-            args.exponent,
-            args.ref_loss_db,
-            args.tx_gain_dbi,
-            args.rx_gain_dbi,
-        )
+        try:
+            omega = link_budget_omega(
+                args.frequency_hz,
+                d,
+                args.exponent,
+                args.ref_loss_db,
+                args.tx_gain_dbi,
+                args.rx_gain_dbi,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         print(f"{d:>10g} {omega:>14.9g} {10.0 * math.log10(omega):>13.6g}")
     return 0
 
@@ -708,7 +509,7 @@ def _build_parser():
         )
 
     def add_policy(p):
-        p.add_argument("--scheme", required=True, choices=("rr", "nsnr", "et"))
+        p.add_argument("--scheme", required=True, choices=tuple(SCHEMES))
         p.add_argument("--order", type=int, help="rank j for scheme nsnr")
         p.add_argument(
             "--allowed", help="order set for scheme et, e.g. 1-2 or 1,3,5"
@@ -728,25 +529,27 @@ def _build_parser():
     add_config(p)
     add_policy(p)
     p.add_argument("--out", default="-", help="CSV path, - for stdout")
-    p.set_defaults(handler=_cmd_analyze)
+    p.set_defaults(handler=_cmd_point, mode="analytic")
 
     p = sub.add_parser("simulate", help="Monte Carlo rate-energy point for one policy")
     add_config(p)
     add_policy(p)
     add_sim(p)
     p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_simulate)
+    p.set_defaults(handler=_cmd_point, mode="simulate")
 
     p = sub.add_parser("sweep", help="grid of policies to CSV")
     add_config(p)
-    p.add_argument("--schemes", required=True, help="comma list from rr,nsnr,et")
+    p.add_argument(
+        "--schemes", required=True, help="comma list from " + ",".join(SCHEMES)
+    )
     p.add_argument("--orders", help="nsnr ranks, e.g. 1-7 or 2,4")
     p.add_argument(
         "--set",
         action="append",
         help="et order set, repeatable, e.g. --set 1-2 --set 6-7",
     )
-    p.add_argument("--mode", choices=("analytic", "simulate", "both"), default="analytic")
+    p.add_argument("--mode", choices=MODES, default="analytic")
     add_sim(p)
     p.add_argument("--jobs", type=int, default=1, help="worker processes, 0 for all cores")
     p.add_argument("--out", default="-")
@@ -784,8 +587,6 @@ def main(argv=None):
     """Entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) == 0:
-        args.jobs = os.cpu_count() or 1
     try:
         return args.handler(args)
     except ConfigError as exc:

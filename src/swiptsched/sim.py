@@ -131,6 +131,14 @@ def _pick_min_throughput(throughputs, candidates):
     return best
 
 
+def _et_update(throughputs, chosen, beta, rate):
+    # in place: r <- (1 - beta) r for every user, plus beta C for the served one
+    keep = 1.0 - beta
+    for i, r in enumerate(throughputs):
+        throughputs[i] = keep * r
+    throughputs[chosen] += beta * rate
+
+
 def step_et(throughputs, ranks, allowed, beta_t, rates):
     """One slot of the equal-throughput rule.
 
@@ -146,13 +154,13 @@ def step_et(throughputs, ranks, allowed, beta_t, rates):
         raise ValueError("beta_t must lie in (0, 1]")
     candidates = [ranks[j - 1] - 1 for j in allowed.orders]
     chosen = _pick_min_throughput(throughputs, candidates)
-    keep = 1.0 - beta_t
-    updated = [keep * r for r in throughputs]
-    updated[chosen] += beta_t * rates[chosen]
+    updated = list(throughputs)
+    _et_update(updated, chosen, beta_t, rates[chosen])
     return chosen + 1, tuple(updated)
 
 
 def _et_selection(scenario, policy, gains, snr_scale):
+    # the step_et rule over every slot, rating only the served user
     n = scenario.n_users
     t_total = gains.shape[0]
     policy.allowed.validate_for(n)
@@ -165,12 +173,8 @@ def _et_selection(scenario, policy, gains, snr_scale):
     beta_at = policy.beta.value_at
     for t in range(t_total):
         chosen = _pick_min_throughput(throughputs, candidates[t])
-        beta = beta_at(t + 1)
         rate = math.log1p(snr_scale * gains[t, chosen]) / _LN2
-        keep = 1.0 - beta
-        for i in range(n):
-            throughputs[i] *= keep
-        throughputs[chosen] += beta * rate
+        _et_update(throughputs, chosen, beta_at(t + 1), rate)
         sel[t] = chosen
     return sel, tuple(throughputs)
 

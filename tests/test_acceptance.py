@@ -19,7 +19,8 @@ import pytest
 from scipy.integrate import quad
 
 import swiptsched as sw
-from swiptsched.cli import main, parse_config
+from swiptsched.cli import main
+from swiptsched.config import parse_config
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 

@@ -8,6 +8,7 @@ script for the wiring itself.
 import csv
 import json
 import math
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -15,12 +16,10 @@ import sys
 import pytest
 
 from swiptsched import __version__
-from swiptsched.cli import (
-    CSV_HEADER,
+from swiptsched.cli import CSV_HEADER, main, parse_allowed
+from swiptsched.config import (
     ConfigError,
     link_budget_omega,
-    main,
-    parse_allowed,
     parse_config,
     scenario_to_config_text,
 )
@@ -134,12 +133,10 @@ def test_parse_allowed_forms():
     assert parse_allowed("1-3").orders == (1, 2, 3)
     assert parse_allowed("1,3,5").orders == (1, 3, 5)
     assert parse_allowed("4").orders == (4,)
-    with pytest.raises(ConfigError):
-        parse_allowed("3-1")
-    with pytest.raises(ConfigError):
-        parse_allowed("a,b")
-    with pytest.raises(ConfigError):
-        parse_allowed("")
+    assert parse_allowed("2-4", 4).orders == (2, 3, 4)
+    for text, n_users in (("3-1", None), ("a,b", None), ("", None), ("0-2", None), ("3-5", 4)):
+        with pytest.raises(ConfigError):
+            parse_allowed(text, n_users)
 
 
 def test_link_budget_omega_free_space_reference():
@@ -229,14 +226,56 @@ def test_simulate_csv_has_errors_and_seed(tmp_path, capsys):
     assert all(float(r["cap_stderr"]) > 0.0 for r in rows)
 
 
+BUDGET_CONFIG = """
+[system]
+n_users = 2
+tx_power = 1 W
+noise_power = -96 dBm
+eta = 0.5
+
+[fading]
+model = rayleigh
+
+[link_budget]
+frequency_hz = 915e6
+path_loss_exponent = 2.76
+distances_m = 4.612173, 2.278823
+"""
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     path = write_config(tmp_path, GOOD_CONFIG)
-    assert main(["analyze", "--config", path, "--scheme", "nsnr"]) == 1
-    assert main(["analyze", "--config", path, "--scheme", "et"]) == 1
-    assert main(["analyze", "--config", path, "--scheme", "rr", "--order", "2"]) == 1
-    assert main(["analyze", "--config", path, "--scheme", "nsnr", "--order", "9"]) == 1
-    assert main(["analyze", "--config", "/missing.ini", "--scheme", "rr"]) == 1
-    capsys.readouterr()
+    rayleigh_k = write_config(
+        tmp_path,
+        GOOD_CONFIG.replace("model = ricean", "model = rayleigh").replace(
+            "k_factor = 6", "k_factor = abc"
+        ),
+        "rayleigh_k.ini",
+    )
+    budget = write_config(
+        tmp_path, BUDGET_CONFIG.replace("915e6", "fast"), "budget.ini"
+    )
+    sim = ["simulate", "--config", path, "--scheme", "rr"]
+    cases = [
+        ["analyze", "--config", path, "--scheme", "nsnr"],
+        ["analyze", "--config", path, "--scheme", "et"],
+        ["analyze", "--config", path, "--scheme", "rr", "--order", "2"],
+        ["analyze", "--config", path, "--scheme", "nsnr", "--order", "9"],
+        ["analyze", "--config", "/missing.ini", "--scheme", "rr"],
+        ["analyze", "--config", path, "--scheme", "et", "--allowed", "0-2"],
+        ["feasibility", "--config", path, "--allowed", "3-9"],
+        ["sweep", "--config", path, "--schemes", "et", "--set", "2-5"],
+        ["sweep", "--config", path, "--schemes", "rr", "--jobs", "-1"],
+        sim + ["--slots", "0"],
+        sim + ["--slots", "100", "--warmup", "100"],
+        ["analyze", "--config", rayleigh_k, "--scheme", "rr"],
+        ["analyze", "--config", budget, "--scheme", "rr"],
+        ["linkbudget", "--frequency-hz", "915e6", "--exponent", "2", "--distance", "0"],
+    ]
+    for argv in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("swiptsched: error: ") and err.count("\n") == 1, argv
 
 
 def test_argparse_errors_remap_to_exit_one(tmp_path, capsys):
@@ -414,11 +453,23 @@ def test_console_script_is_wired():
 
 def test_bundled_configs_parse():
     # the files shipped in configs/ must stay loadable
-    import pathlib
-
     here = pathlib.Path(__file__).resolve().parent.parent / "configs"
     names = sorted(p.name for p in here.glob("*.ini"))
     assert len(names) >= 4
     for name in names:
         sc = parse_config(str(here / name))
         assert sc.n_users >= 2
+
+
+def test_library_import_leaves_the_cli_unloaded():
+    # the package is the library; only the console entry point loads the CLI
+    import swiptsched
+
+    src = str(pathlib.Path(swiptsched.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import swiptsched; "
+        "print(' '.join(m for m in ('swiptsched.cli', 'argparse') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

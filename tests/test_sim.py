@@ -6,6 +6,7 @@ Statistical comparisons use the run's own standard errors with wide (4 to
 
 import math
 
+import numpy as np
 import pytest
 
 from swiptsched.analytic import (
@@ -15,7 +16,8 @@ from swiptsched.analytic import (
     nsnr_analysis,
     rr_analysis,
 )
-from swiptsched.channel import FadingParams, Scenario
+from swiptsched.channel import FadingParams, Scenario, sample_gains
+from swiptsched.orderstats import rank_of_users
 from swiptsched.sim import (
     Constant,
     OrderET,
@@ -89,6 +91,38 @@ def test_step_et_full_replacement_at_beta_one():
     chosen, updated = step_et((0.7, 0.9), (1, 2), (1, 2), 1.0, (3.0, 4.0))
     assert chosen == 1
     assert updated == pytest.approx((3.0, 0.0))
+
+
+@pytest.mark.parametrize("beta", [VanishingStep(), Constant(0.01)], ids=str)
+def test_run_applies_the_step_et_rule(beta):
+    # step_et, driven slot by slot over the gains run() draws, must schedule
+    # and average exactly as the simulator does
+    users = tuple(FadingParams(omega=n * 1e-5, k_factor=6.0) for n in range(1, 8))
+    sc = Scenario(users=users, tx_power_w=1.0, noise_power_w=NOISE_W, eta=0.5)
+    allowed = AllowedOrderSet((1, 2))
+    slots, seed = 2000, 21
+    result = run(
+        sc,
+        OrderET(allowed=allowed, beta=beta),
+        SimConfig(n_slots=slots, seed=seed, warmup_slots=0),
+    )
+
+    streams = np.random.SeedSequence(seed).spawn(sc.n_users)
+    gains = np.column_stack(
+        [sample_gains(u, np.random.default_rng(s), slots) for u, s in zip(users, streams)]
+    )
+    omegas = np.array([u.omega for u in users])
+    snr_scale = sc.tx_power_w / sc.noise_power_w
+    throughputs = (0.0,) * sc.n_users
+    counts = [0] * sc.n_users
+    for t in range(slots):
+        rates = [math.log1p(snr_scale * g) / math.log(2.0) for g in gains[t]]
+        ranks = rank_of_users(gains[t] / omegas)
+        chosen, throughputs = step_et(throughputs, ranks, allowed, beta.value_at(t + 1), rates)
+        counts[chosen - 1] += 1
+
+    assert result.final_moving_throughput == throughputs
+    assert [round(f * slots) for f in result.per_user_schedule_frequency] == counts
 
 
 def test_step_et_rejects_bad_beta():
