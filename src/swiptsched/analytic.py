@@ -318,6 +318,16 @@ def _allowed_capacity_sums(scenario, allowed):
     return [math.fsum(caps) for caps in zip(*columns)]
 
 
+def _et_operating_point(sums, allowed_size):
+    # (p, r) from the allowed-rank capacity sums S_n: p_n is proportional
+    # to 1/S_n, r = N / sum_n (|S_a| / S_n)
+    inv = [1.0 / s for s in sums]
+    total = math.fsum(inv)
+    p = tuple(v / total for v in inv)
+    r = len(sums) / math.fsum(allowed_size / s for s in sums)
+    return p, r
+
+
 def et_probabilities(scenario, allowed):
     """Scheduling probabilities that equalize every user's long-run rate.
 
@@ -325,9 +335,7 @@ def et_probabilities(scenario, allowed):
     capacities, normalized to sum to 1.
     """
     sums = _allowed_capacity_sums(scenario, allowed)
-    inv = [1.0 / s for s in sums]
-    total = math.fsum(inv)
-    return tuple(v / total for v in inv)
+    return _et_operating_point(sums, allowed.size)[0]
 
 
 def et_throughput(scenario, allowed):
@@ -337,8 +345,7 @@ def et_throughput(scenario, allowed):
     the rank-j capacities.
     """
     sums = _allowed_capacity_sums(scenario, allowed)
-    n = scenario.n_users
-    return n / math.fsum(allowed.size / s for s in sums)
+    return _et_operating_point(sums, allowed.size)[1]
 
 
 def et_harvest(scenario, allowed, probabilities, user_n):
@@ -443,8 +450,8 @@ def et_analysis(scenario, allowed):
     The analysis values are the formula outputs, meaningful as an operating
     point only when the verdict is feasible.
     """
-    p = et_probabilities(scenario, allowed)
-    r = et_throughput(scenario, allowed)
+    sums = _allowed_capacity_sums(scenario, allowed)
+    p, r = _et_operating_point(sums, allowed.size)
     report = et_feasibility(p, allowed.size, scenario.n_users)
     solution = ETSolution(r, p, report.feasible, report.violations)
     n = scenario.n_users

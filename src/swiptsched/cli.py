@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import __version__
 from .analytic import AllowedOrderSet, et_analysis, nsnr_analysis, rr_analysis
 from .config import ConfigError, link_budget_omega, parse_config
-from .sim import OrderET, OrderNSNR, RoundRobin, SimConfig, run
+from .sim import Draw, OrderET, OrderNSNR, RoundRobin, SimConfig, run
 from .specfun import ConvergenceError
 
 CONFIG_DIR_ENV = "SWIPTSCHED_CONFIG_DIR"
@@ -223,9 +223,10 @@ def _sweep_points(scenario, spec):
     return points
 
 
-def _eval_sweep_point(scenario, mode, sim_config, point):
+def _eval_sweep_point(scenario, mode, sim_config, point, draw=None):
     # the analysis runs once: for the analytic rows, and for the verdict
-    # the simulated rows of a scheme that may be infeasible carry
+    # the simulated rows of a scheme that may be infeasible carry; draw,
+    # when given, is the shared Draw of scenario and sim_config
     name, param = point
     scheme = SCHEMES[name]
     rows = []
@@ -249,7 +250,7 @@ def _eval_sweep_point(scenario, mode, sim_config, point):
             sched_prob=solution.probabilities if solution else [1.0 / n] * n,
         )
     if mode != "analytic":
-        result = run(scenario, scheme.policy(param), sim_config)
+        result = run(scenario, scheme.policy(param), sim_config, draw=draw)
         rows += _point_rows(
             scenario,
             name,
@@ -271,16 +272,21 @@ def run_sweep(scenario, spec):
     Points are independent, so jobs > 1 dispatches them to a process pool
     (jobs 0 or None: one worker per core); the row order matches the point
     enumeration regardless of completion order, keeping output bytes
-    identical across job counts.
+    identical across job counts. Every point simulates the same seed, so
+    in process the simulated points share one Draw of the gains, built
+    once and released when the sweep returns; pool workers draw per point.
     """
     points = _sweep_points(scenario, spec)
-    evaluate = functools.partial(_eval_sweep_point, scenario, spec.mode, spec.sim)
     jobs = spec.jobs or os.cpu_count() or 1
     if jobs > 1 and len(points) > 1:
+        evaluate = functools.partial(_eval_sweep_point, scenario, spec.mode, spec.sim)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(evaluate, points))
     else:
-        chunks = [evaluate(p) for p in points]
+        draw = Draw(scenario, spec.sim) if spec.mode != "analytic" else None
+        chunks = [
+            _eval_sweep_point(scenario, spec.mode, spec.sim, p, draw) for p in points
+        ]
     return [row for chunk in chunks for row in chunk]
 
 
@@ -331,9 +337,11 @@ def _emit_rows(args, scenario, rows, sim):
 def _policy_args(args, scenario):
     name = args.scheme
     scheme = SCHEMES[name]
+    for other in SCHEMES.values():
+        foreign = other.option not in (None, scheme.option)
+        if foreign and getattr(args, other.option) is not None:
+            raise ConfigError(f"scheme {name} does not take --{other.option}")
     if scheme.option is None:
-        if args.order is not None or args.allowed is not None:
-            raise ConfigError(f"scheme {name} takes neither --order nor --allowed")
         return name, None
     value = getattr(args, scheme.option)
     if value is None:

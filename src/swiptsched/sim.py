@@ -7,6 +7,7 @@ equal-throughput runs also track the moving-average rates that drive the
 scheduling rule.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +17,9 @@ from .analytic import AllowedOrderSet
 from .channel import sample_gains
 
 _LN2 = math.log(2.0)
+# slots ranked per argsort call, so the float and int64 temporaries of the
+# sort stay small next to the T x N gains
+_RANK_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -159,15 +163,49 @@ def step_et(throughputs, ranks, allowed, beta_t, rates):
     return chosen + 1, tuple(updated)
 
 
-def _et_selection(scenario, policy, gains, snr_scale):
+class Draw:
+    """One seeded realization of every user's gains, read-only and shareable.
+
+    gains is T x N float64; each user's column comes from its own stream
+    spawned from the master seed, so it does not depend on user order.
+    ranks[t] lists the 0-based users by ascending normalized gain (stable
+    ties) in the smallest signed int dtype, sorted on first use. Runs on one
+    scenario, seed and slot count may share a draw (common random numbers)
+    and give the results a draw of their own would give.
+    """
+
+    def __init__(self, scenario, config):
+        n = scenario.n_users
+        streams = [
+            np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(n)
+        ]
+        gains = np.empty((config.n_slots, n))
+        for i, params in enumerate(scenario.users):
+            gains[:, i] = sample_gains(params, streams[i], config.n_slots)
+        gains.flags.writeable = False
+        self.scenario = scenario
+        self.seed = config.seed
+        self.n_slots = config.n_slots
+        self.gains = gains
+
+    @functools.cached_property
+    def ranks(self):
+        omegas = np.array([u.omega for u in self.scenario.users])
+        ranks = np.empty(self.gains.shape, np.min_scalar_type(-self.scenario.n_users))
+        for lo in range(0, self.n_slots, _RANK_BLOCK):
+            block = self.gains[lo : lo + _RANK_BLOCK] / omegas
+            ranks[lo : lo + _RANK_BLOCK] = np.argsort(block, axis=1, kind="stable")
+        ranks.flags.writeable = False
+        return ranks
+
+
+def _et_selection(policy, draw, snr_scale):
     # the step_et rule over every slot, rating only the served user
-    n = scenario.n_users
-    t_total = gains.shape[0]
-    policy.allowed.validate_for(n)
-    omegas = np.array([u.omega for u in scenario.users])
-    ranks = np.argsort(gains / omegas, axis=1, kind="stable")
+    gains = draw.gains
+    t_total, n = gains.shape
     candidate_cols = [j - 1 for j in policy.allowed.orders]
-    candidates = ranks[:, candidate_cols].tolist()
+    candidates = draw.ranks[:, candidate_cols].tolist()
     throughputs = [float(policy.initial_throughput)] * n
     sel = np.empty(t_total, dtype=np.int64)
     beta_at = policy.beta.value_at
@@ -179,22 +217,32 @@ def _et_selection(scenario, policy, gains, snr_scale):
     return sel, tuple(throughputs)
 
 
-def run(scenario, policy, config):
+def _check_policy(policy, n):
+    # every policy error surfaces before any gain is drawn
+    if isinstance(policy, OrderNSNR):
+        if policy.order_j > n:
+            raise ValueError(f"order_j {policy.order_j} exceeds the user count {n}")
+    elif isinstance(policy, OrderET):
+        policy.allowed.validate_for(n)
+    elif not isinstance(policy, RoundRobin):
+        raise ValueError(f"unknown policy {policy!r}")
+
+
+def run(scenario, policy, config, draw=None):
     """Simulate the scenario under the policy and accumulate statistics.
 
-    One independent generator stream per user is derived by spawning the
-    master seed, so results do not depend on user iteration order and are
-    bit-identical across reruns with equal inputs.
+    The gains come from draw, a Draw of this scenario, seed and slot count
+    that several runs may share; without one, run builds its own. Either
+    way the results are bit-identical across reruns with equal inputs.
     """
     n = scenario.n_users
     t_total = config.n_slots
-    streams = [
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(config.seed).spawn(n)
-    ]
-    gains = np.empty((t_total, n))
-    for i, params in enumerate(scenario.users):
-        gains[:, i] = sample_gains(params, streams[i], t_total)
+    _check_policy(policy, n)
+    if draw is None:
+        draw = Draw(scenario, config)
+    elif (draw.scenario, draw.seed, draw.n_slots) != (scenario, config.seed, t_total):
+        raise ValueError("the draw belongs to another scenario, seed or slot count")
+    gains = draw.gains
     snr_scale = scenario.tx_power_w / scenario.noise_power_w
 
     warmup = 0
@@ -203,21 +251,16 @@ def run(scenario, policy, config):
         sel = np.arange(t_total, dtype=np.int64) % n
         descriptor = "rr"
     elif isinstance(policy, OrderNSNR):
-        if policy.order_j > n:
-            raise ValueError(f"order_j {policy.order_j} exceeds the user count {n}")
-        omegas = np.array([u.omega for u in scenario.users])
-        sel = np.argsort(gains / omegas, axis=1, kind="stable")[:, policy.order_j - 1]
+        sel = draw.ranks[:, policy.order_j - 1].astype(np.int64)
         descriptor = f"nsnr j={policy.order_j}"
-    elif isinstance(policy, OrderET):
-        sel, final_r = _et_selection(scenario, policy, gains, snr_scale)
+    else:
+        sel, final_r = _et_selection(policy, draw, snr_scale)
         warmup = (
             config.warmup_slots
             if config.warmup_slots is not None
             else t_total // 100
         )
         descriptor = f"et Sa={policy.allowed} beta={policy.beta}"
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
 
     counted = t_total - warmup
     sel_inc = sel[warmup:]

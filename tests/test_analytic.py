@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from swiptsched import analytic
 from swiptsched.analytic import (
     AllowedOrderSet,
     CancellationWarning,
@@ -316,6 +317,24 @@ def test_et_analysis_bundle():
     assert analysis.per_user_harvest[2] == pytest.approx(
         et_harvest(sc, allowed, sol.probabilities, 3), rel=1e-15
     )
+
+
+def test_et_analysis_reads_each_allowed_column_once(monkeypatch):
+    sc = ricean_scenario()
+    allowed = AllowedOrderSet((1, 2, 3))
+    column = analytic._column
+    ranks_read = []
+
+    def counted(scenario, j, *args, **kwargs):
+        ranks_read.append(j)
+        return column(scenario, j, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "_column", counted)
+    _, sol = et_analysis(sc, allowed)
+    assert sorted(ranks_read) == [1, 2, 3]
+    # the shared sums give the public functions' values bit for bit
+    assert sol.probabilities == et_probabilities(sc, allowed)
+    assert sol.equal_throughput_r == et_throughput(sc, allowed)
 
 
 def test_et_analysis_reports_infeasible_without_raising():

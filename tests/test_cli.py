@@ -13,16 +13,20 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from swiptsched import __version__
-from swiptsched.cli import CSV_HEADER, main, parse_allowed
+from swiptsched.analytic import AllowedOrderSet
+from swiptsched.channel import sample_gains
+from swiptsched.cli import CSV_HEADER, SweepSpec, main, parse_allowed, run_sweep
 from swiptsched.config import (
     ConfigError,
     link_budget_omega,
     parse_config,
     scenario_to_config_text,
 )
+from swiptsched.sim import OrderET, OrderNSNR, RoundRobin, SimConfig, run
 
 GOOD_CONFIG = """
 [system]
@@ -271,6 +275,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["analyze", "--config", rayleigh_k, "--scheme", "rr"],
         ["analyze", "--config", budget, "--scheme", "rr"],
         ["linkbudget", "--frequency-hz", "915e6", "--exponent", "2", "--distance", "0"],
+        ["analyze", "--config", path, "--scheme", "et", "--allowed", "1-2", "--order", "9"],
+        ["analyze", "--config", path, "--scheme", "nsnr", "--order", "1", "--allowed", "1-2"],
+        sim[:-1] + ["nsnr", "--order", "1", "--allowed", "1-2", "--slots", "100"],
+        sim[:-1] + ["et", "--allowed", "1-2", "--order", "1", "--slots", "100"],
+        ["compare", "--config", path, "--scheme", "et", "--allowed", "1-2", "--order", "1",
+         "--slots", "100"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -371,6 +381,83 @@ def test_sweep_parallel_output_is_identical(tmp_path):
     assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
     assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_both_mode_parallel_output_is_identical(tmp_path):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    args = ["sweep", "--config", path, "--schemes", "rr,nsnr,et", "--orders", "1-3",
+            "--set", "1-2", "--mode", "both", "--slots", "3000"]
+    assert main(args + ["--jobs", "1", "--out", str(a)]) == 0
+    assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_shared_draw_rows_equal_per_point_runs(tmp_path):
+    scenario = parse_config(write_config(tmp_path, GOOD_CONFIG))
+    config = SimConfig(n_slots=3000, seed=21)
+    allowed = AllowedOrderSet((1, 2))
+    spec = SweepSpec(
+        schemes=("rr", "nsnr", "et"),
+        nsnr_orders=(1, 3),
+        et_sets=(allowed,),
+        mode="simulate",
+        sim=config,
+    )
+    rows = run_sweep(scenario, spec)
+    policies = (
+        RoundRobin(),
+        OrderNSNR(order_j=1),
+        OrderNSNR(order_j=3),
+        OrderET(allowed=allowed),
+    )
+    assert len(rows) == 3 * len(policies)
+    for k, policy in enumerate(policies):
+        result = run(scenario, policy, config)
+        for u in range(3):
+            row = rows[3 * k + u]
+            assert row["capacity_bps_hz"] == result.per_user_capacity_mean[u]
+            assert row["harvest_w"] == result.per_user_harvest_mean[u]
+            assert row["sched_prob"] == result.per_user_schedule_frequency[u]
+            assert row["cap_stderr"] == result.per_user_capacity_stderr[u]
+            assert row["harv_stderr"] == result.per_user_harvest_stderr[u]
+
+
+def test_serial_sweep_draws_each_user_once(tmp_path, monkeypatch):
+    drawn = []
+
+    def counted(params, rng, size=None):
+        drawn.append(params)
+        return sample_gains(params, rng, size)
+
+    monkeypatch.setattr("swiptsched.sim.sample_gains", counted)
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "indoor_ricean_n7.ini"
+    out_csv = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(config), "--schemes", "rr,nsnr,et", "--orders", "1-7",
+            "--set", "1-2", "--set", "3-4", "--set", "6-7", "--mode", "both",
+            "--slots", "2000", "--jobs", "1", "--out", str(out_csv)]
+    assert main(argv) == 0
+    assert len(read_rows(out_csv.read_text())) == 2 * 11 * 7
+    assert len(drawn) == 7
+
+
+def test_sweep_sorts_ranks_at_most_once(tmp_path, monkeypatch):
+    sorted_rows = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        sorted_rows.append(len(args[0]))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    argv = ["sweep", "--config", path, "--mode", "simulate", "--slots", "2000",
+            "--jobs", "1", "--out", str(tmp_path / "s.csv"), "--schemes"]
+    assert main(argv + ["rr"]) == 0
+    assert sorted_rows == []
+    assert main(argv + ["rr,nsnr,et", "--orders", "1-3", "--set", "1-2", "--set", "2-3"]) == 0
+    assert sum(sorted_rows) == 2000
 
 
 def test_sweep_both_mode_tags_rows(tmp_path):

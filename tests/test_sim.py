@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from swiptsched import sim
 from swiptsched.analytic import (
     AllowedOrderSet,
     et_probabilities,
@@ -20,6 +21,7 @@ from swiptsched.channel import FadingParams, Scenario, sample_gains
 from swiptsched.orderstats import rank_of_users
 from swiptsched.sim import (
     Constant,
+    Draw,
     OrderET,
     OrderNSNR,
     RoundRobin,
@@ -246,3 +248,62 @@ def test_unknown_policy_rejected():
     sc = scenario3()
     with pytest.raises(ValueError):
         run(sc, object(), SimConfig(n_slots=10, seed=1))
+
+
+def test_policy_errors_raise_before_drawing(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return sample_gains(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_gains", counted)
+    sc = scenario3()
+    config = SimConfig(n_slots=10, seed=1)
+    for policy in (OrderNSNR(order_j=4), OrderET(allowed=(2, 4)), object()):
+        with pytest.raises(ValueError):
+            run(sc, policy, config)
+    assert calls == []
+
+
+def test_draw_is_read_only_with_compact_ranks():
+    users = tuple(FadingParams(omega=n * 1e-5, k_factor=6.0) for n in range(1, 8))
+    sc = Scenario(users=users, tx_power_w=1.0, noise_power_w=NOISE_W, eta=0.5)
+    slots = sim._RANK_BLOCK + 1000  # the ranks cross a block seam
+    draw = Draw(sc, SimConfig(n_slots=slots, seed=4))
+    assert draw.gains.shape == (slots, 7) and draw.gains.dtype == np.float64
+    assert draw.ranks.dtype == np.int8
+    for array in (draw.gains, draw.ranks):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+    omegas = np.array([u.omega for u in users])
+    assert np.array_equal(draw.ranks, np.argsort(draw.gains / omegas, axis=1, kind="stable"))
+
+
+def test_shared_draw_gives_each_runs_own_results():
+    sc = scenario3()
+    config = SimConfig(n_slots=4000, seed=9)
+    draw = Draw(sc, config)
+    policies = (
+        RoundRobin(),
+        OrderNSNR(order_j=1),
+        OrderNSNR(order_j=3),
+        OrderET(allowed=AllowedOrderSet((1, 2))),
+    )
+    for policy in policies:
+        assert run(sc, policy, config, draw=draw) == run(sc, policy, config)
+
+
+def test_run_rejects_a_mismatched_draw():
+    sc = scenario3()
+    config = SimConfig(n_slots=100, seed=1)
+    draw = Draw(sc, config)
+    other = Scenario(users=sc.users[:2], tx_power_w=1.0, noise_power_w=NOISE_W, eta=0.5)
+    for scenario, cfg in (
+        (sc, SimConfig(n_slots=100, seed=2)),
+        (sc, SimConfig(n_slots=99, seed=1)),
+        (other, config),
+    ):
+        with pytest.raises(ValueError, match="draw"):
+            run(scenario, RoundRobin(), cfg, draw=draw)
