@@ -9,6 +9,8 @@ downstream work with the normalized, unit-mean gain X = h / omega.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .specfun import bessel_i0_scaled, marcum_q1
 
 
@@ -145,12 +147,14 @@ def normalized_cdf(k_factor, x):
     return cdf_gain(FadingParams(omega=1.0, k_factor=k_factor), x)
 
 
-def sample_gains(params, rng, size=None):
+def sample_gains(params, rng, size=None, rng_im=None):
     """Draw instantaneous channel power gains.
 
     Constructs |c|^2 with c complex Gaussian of mean amplitude
     sqrt(K omega / (K+1)) and scatter variance omega / (K+1); for K = 0 the
     mean vanishes and the draw is exactly exponential with mean omega.
+    The real parts are the next size normals of rng, the imaginary parts
+    the next size normals of rng_im (default: rng, after the real parts).
     size=None returns a scalar, an integer returns a 1-d array.
     """
     k = params.k_factor
@@ -158,8 +162,26 @@ def sample_gains(params, rng, size=None):
     mu = math.sqrt(k * om / (k + 1.0))
     s = math.sqrt(om / (2.0 * (k + 1.0)))  # per-component scatter std dev
     g_re = rng.standard_normal(size)
-    g_im = rng.standard_normal(size)
+    g_im = (rng if rng_im is None else rng_im).standard_normal(size)
     return (mu + s * g_re) ** 2 + (s * g_im) ** 2
+
+
+def gain_streams(seed, n_users, n_slots, chunk):
+    """The simulator's stream layout: (real, imaginary) generators per user.
+
+    User i's gains are sample_gains(params, rng, n_slots), rng seeded by
+    SeedSequence(seed).spawn(n_users)[i]: the real parts are its first
+    n_slots normals, the imaginary parts the next n_slots. The imaginary
+    generator skips the real parts chunk normals at a time, so successive
+    sample_gains(params, re, m, im) calls return that draw m slots at a time.
+    """
+    pairs = []
+    for child in np.random.SeedSequence(seed).spawn(n_users):
+        re, im = np.random.default_rng(child), np.random.default_rng(child)
+        for lo in range(0, n_slots, chunk):
+            im.standard_normal(min(chunk, n_slots - lo))
+        pairs.append((re, im))
+    return pairs
 
 
 def sample_gain(params, rng):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from . import __version__
 from .analytic import AllowedOrderSet, et_analysis, nsnr_analysis, rr_analysis
 from .config import ConfigError, link_budget_omega, parse_config
-from .sim import Draw, OrderET, OrderNSNR, RoundRobin, SimConfig, run
+from .sim import OrderET, OrderNSNR, RoundRobin, SimConfig, run, run_policies
 from .specfun import ConvergenceError
 
 CONFIG_DIR_ENV = "SWIPTSCHED_CONFIG_DIR"
@@ -223,10 +223,10 @@ def _sweep_points(scenario, spec):
     return points
 
 
-def _eval_sweep_point(scenario, mode, sim_config, point, draw=None):
+def _eval_sweep_point(scenario, mode, sim_config, point, result=None):
     # the analysis runs once: for the analytic rows, and for the verdict
-    # the simulated rows of a scheme that may be infeasible carry; draw,
-    # when given, is the shared Draw of scenario and sim_config
+    # the simulated rows of a scheme that may be infeasible carry; result,
+    # when given, is the point's SimResult from a run shared with others
     name, param = point
     scheme = SCHEMES[name]
     rows = []
@@ -250,7 +250,8 @@ def _eval_sweep_point(scenario, mode, sim_config, point, draw=None):
             sched_prob=solution.probabilities if solution else [1.0 / n] * n,
         )
     if mode != "analytic":
-        result = run(scenario, scheme.policy(param), sim_config, draw=draw)
+        if result is None:
+            result = run(scenario, scheme.policy(param), sim_config)
         rows += _point_rows(
             scenario,
             name,
@@ -273,20 +274,20 @@ def run_sweep(scenario, spec):
     (jobs 0 or None: one worker per core); the row order matches the point
     enumeration regardless of completion order, keeping output bytes
     identical across job counts. Every point simulates the same seed, so
-    in process the simulated points share one Draw of the gains, built
-    once and released when the sweep returns; pool workers draw per point.
+    in process one run_policies call simulates all points on one chunked
+    stream of the gains; pool workers simulate one point per task.
     """
     points = _sweep_points(scenario, spec)
     jobs = spec.jobs or os.cpu_count() or 1
+    evaluate = functools.partial(_eval_sweep_point, scenario, spec.mode, spec.sim)
     if jobs > 1 and len(points) > 1:
-        evaluate = functools.partial(_eval_sweep_point, scenario, spec.mode, spec.sim)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(evaluate, points))
     else:
-        draw = Draw(scenario, spec.sim) if spec.mode != "analytic" else None
-        chunks = [
-            _eval_sweep_point(scenario, spec.mode, spec.sim, p, draw) for p in points
-        ]
+        sims = [None] * len(points)
+        if spec.mode != "analytic":
+            sims = run_policies(scenario, [SCHEMES[s].policy(p) for s, p in points], spec.sim)
+        chunks = list(map(evaluate, points, sims))
     return [row for chunk in chunks for row in chunk]
 
 

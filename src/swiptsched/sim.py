@@ -7,19 +7,19 @@ equal-throughput runs also track the moving-average rates that drive the
 scheduling rule.
 """
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import AllowedOrderSet
-from .channel import sample_gains
+from .channel import gain_streams, sample_gains
 
 _LN2 = math.log(2.0)
-# slots ranked per argsort call, so the float and int64 temporaries of the
-# sort stay small next to the T x N gains
-_RANK_BLOCK = 1 << 15
+# slots per chunk of the gain stream: a run holds O(_CHUNK x N) gains, ranks
+# and temporaries whatever its slot count
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,14 @@ class SimConfig:
     warmup_slots: int = None
 
     def __post_init__(self):
+        ints = [self.n_slots, self.seed] + [self.warmup_slots] * (self.warmup_slots is not None)
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in ints):
+            raise ValueError("n_slots, seed and warmup_slots must be integers")
         if self.n_slots < 1:
             raise ValueError("n_slots must be at least 1")
-        if self.warmup_slots is not None and not (
-            0 <= self.warmup_slots < self.n_slots
-        ):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.warmup_slots is not None and not 0 <= self.warmup_slots < self.n_slots:
             raise ValueError("warmup_slots must satisfy 0 <= warmup < n_slots")
 
 
@@ -163,58 +166,63 @@ def step_et(throughputs, ranks, allowed, beta_t, rates):
     return chosen + 1, tuple(updated)
 
 
-class Draw:
-    """One seeded realization of every user's gains, read-only and shareable.
-
-    gains is T x N float64; each user's column comes from its own stream
-    spawned from the master seed, so it does not depend on user order.
-    ranks[t] lists the 0-based users by ascending normalized gain (stable
-    ties) in the smallest signed int dtype, sorted on first use. Runs on one
-    scenario, seed and slot count may share a draw (common random numbers)
-    and give the results a draw of their own would give.
-    """
-
-    def __init__(self, scenario, config):
-        n = scenario.n_users
-        streams = [
-            np.random.default_rng(child)
-            for child in np.random.SeedSequence(config.seed).spawn(n)
-        ]
-        gains = np.empty((config.n_slots, n))
-        for i, params in enumerate(scenario.users):
-            gains[:, i] = sample_gains(params, streams[i], config.n_slots)
+def _stream(scenario, config, ranked):
+    # (t0, gains, ranks) per chunk of the seeded draw, t0 its first slot:
+    # gains is m x N float64; ranks[k] lists the 0-based users by ascending
+    # normalized gain (stable ties) in the smallest signed int dtype, or is
+    # None when ranked is false; both are read-only
+    n, t_total = scenario.n_users, config.n_slots
+    streams = gain_streams(config.seed, n, t_total, _CHUNK)
+    omegas = np.array([u.omega for u in scenario.users])
+    for t0 in range(0, t_total, _CHUNK):
+        m = min(_CHUNK, t_total - t0)
+        gains = np.empty((m, n))
+        for i, (params, (re, im)) in enumerate(zip(scenario.users, streams)):
+            gains[:, i] = sample_gains(params, re, m, im)
         gains.flags.writeable = False
-        self.scenario = scenario
-        self.seed = config.seed
-        self.n_slots = config.n_slots
-        self.gains = gains
-
-    @functools.cached_property
-    def ranks(self):
-        omegas = np.array([u.omega for u in self.scenario.users])
-        ranks = np.empty(self.gains.shape, np.min_scalar_type(-self.scenario.n_users))
-        for lo in range(0, self.n_slots, _RANK_BLOCK):
-            block = self.gains[lo : lo + _RANK_BLOCK] / omegas
-            ranks[lo : lo + _RANK_BLOCK] = np.argsort(block, axis=1, kind="stable")
-        ranks.flags.writeable = False
-        return ranks
+        ranks = None
+        if ranked:
+            ranks = np.argsort(gains / omegas, axis=1, kind="stable")
+            ranks = ranks.astype(np.min_scalar_type(-n))
+            ranks.flags.writeable = False
+        yield t0, gains, ranks
 
 
-def _et_selection(policy, draw, snr_scale):
-    # the step_et rule over every slot, rating only the served user
-    gains = draw.gains
-    t_total, n = gains.shape
-    candidate_cols = [j - 1 for j in policy.allowed.orders]
-    candidates = draw.ranks[:, candidate_cols].tolist()
+def _selector(policy, n, snr_scale):
+    # (descriptor, select, final): select(t0, gains, ranks) returns the
+    # 0-based users served in a chunk and carries the policy's state to the
+    # next; final() returns the ET moving averages, None for other policies
+    if isinstance(policy, RoundRobin):
+        return "rr", lambda t0, g, r: np.arange(t0, t0 + len(g)) % n, lambda: None
+    if isinstance(policy, OrderNSNR):
+        j = policy.order_j
+        return f"nsnr j={j}", lambda t0, g, r: r[:, j - 1].astype(np.int64), lambda: None
+    # the step_et rule slot by slot, rating only the served user
     throughputs = [float(policy.initial_throughput)] * n
-    sel = np.empty(t_total, dtype=np.int64)
+    cols = [j - 1 for j in policy.allowed.orders]
     beta_at = policy.beta.value_at
-    for t in range(t_total):
-        chosen = _pick_min_throughput(throughputs, candidates[t])
-        rate = math.log1p(snr_scale * gains[t, chosen]) / _LN2
-        _et_update(throughputs, chosen, beta_at(t + 1), rate)
-        sel[t] = chosen
-    return sel, tuple(throughputs)
+
+    def select(t0, gains, ranks):
+        sel = np.empty(len(gains), dtype=np.int64)
+        for k, candidates in enumerate(ranks[:, cols].tolist()):
+            chosen = _pick_min_throughput(throughputs, candidates)
+            rate = math.log1p(snr_scale * gains[k, chosen]) / _LN2
+            _et_update(throughputs, chosen, beta_at(t0 + k + 1), rate)
+            sel[k] = chosen
+        return sel
+
+    descriptor = f"et Sa={policy.allowed} beta={policy.beta}"
+    return descriptor, select, lambda: tuple(throughputs)
+
+
+def _chunk_sums(sel, gains, snr_scale, n):
+    # per-user sums of capacity, capacity^2, idle gain, idle gain^2, slots
+    h_sel = gains[np.arange(len(sel)), sel]
+    cap_sel = np.log1p(snr_scale * h_sel) / _LN2
+    weights = (cap_sel, cap_sel**2, h_sel, h_sel**2, None)
+    cap, cap_sq, h, h_sq, count = (np.bincount(sel, w, n) for w in weights)
+    idle_sq = np.einsum("ij,ij->j", gains, gains) - h_sq
+    return np.array([cap, cap_sq, gains.sum(axis=0) - h, idle_sq, count])
 
 
 def _check_policy(policy, n):
@@ -228,66 +236,54 @@ def _check_policy(policy, n):
         raise ValueError(f"unknown policy {policy!r}")
 
 
-def run(scenario, policy, config, draw=None):
-    """Simulate the scenario under the policy and accumulate statistics.
+def run_policies(scenario, policies, config):
+    """Simulate each policy on one seeded gain stream; one SimResult each.
 
-    The gains come from draw, a Draw of this scenario, seed and slot count
-    that several runs may share; without one, run builds its own. Either
-    way the results are bit-identical across reruns with equal inputs.
+    The stream is drawn _CHUNK slots at a time and every policy reads the
+    same chunks (common random numbers); each policy's state and per-user
+    sums carry across chunk seams. Memory is O(_CHUNK x N) whatever
+    n_slots is, and each result equals the policy's own run.
     """
     n = scenario.n_users
-    t_total = config.n_slots
-    _check_policy(policy, n)
-    if draw is None:
-        draw = Draw(scenario, config)
-    elif (draw.scenario, draw.seed, draw.n_slots) != (scenario, config.seed, t_total):
-        raise ValueError("the draw belongs to another scenario, seed or slot count")
-    gains = draw.gains
+    for policy in policies:
+        _check_policy(policy, n)
     snr_scale = scenario.tx_power_w / scenario.noise_power_w
+    et_warmup = config.n_slots // 100 if config.warmup_slots is None else config.warmup_slots
+    warmups = [et_warmup if isinstance(p, OrderET) else 0 for p in policies]
+    selectors = [_selector(p, n, snr_scale) for p in policies]
+    sums = np.zeros((len(policies), 5, n))
+    ranked = not all(isinstance(p, RoundRobin) for p in policies)
+    for t0, gains, ranks in _stream(scenario, config, ranked):
+        for (_, select, _), warmup, acc in zip(selectors, warmups, sums):
+            sel = select(t0, gains, ranks)
+            lo = max(warmup - t0, 0)
+            if lo < len(sel):
+                acc += _chunk_sums(sel[lo:], gains[lo:], snr_scale, n)
+    return [
+        _result(scenario, acc, config.n_slots - warmup, descriptor, final())
+        for (descriptor, _, final), warmup, acc in zip(selectors, warmups, sums)
+    ]
 
-    warmup = 0
-    final_r = None
-    if isinstance(policy, RoundRobin):
-        sel = np.arange(t_total, dtype=np.int64) % n
-        descriptor = "rr"
-    elif isinstance(policy, OrderNSNR):
-        sel = draw.ranks[:, policy.order_j - 1].astype(np.int64)
-        descriptor = f"nsnr j={policy.order_j}"
-    else:
-        sel, final_r = _et_selection(policy, draw, snr_scale)
-        warmup = (
-            config.warmup_slots
-            if config.warmup_slots is not None
-            else t_total // 100
-        )
-        descriptor = f"et Sa={policy.allowed} beta={policy.beta}"
 
-    counted = t_total - warmup
-    sel_inc = sel[warmup:]
-    h_sel = gains[np.arange(t_total), sel]
-    cap_sel = np.log1p(snr_scale * h_sel) / _LN2
+def run(scenario, policy, config):
+    """Simulate the scenario under one policy: run_policies for a single policy.
 
-    cap_sum = np.bincount(sel_inc, weights=cap_sel[warmup:], minlength=n)
-    cap_sumsq = np.bincount(sel_inc, weights=cap_sel[warmup:] ** 2, minlength=n)
+    Results are bit-identical across reruns with equal inputs."""
+    return run_policies(scenario, [policy], config)[0]
+
+
+def _result(scenario, sums, counted, descriptor, final_r):
+    cap_sum, cap_sumsq, idle_sum, idle_sumsq, count = sums
     cap_mean = cap_sum / counted
     cap_var = np.maximum(cap_sumsq / counted - cap_mean**2, 0.0)
     cap_se = np.sqrt(cap_var / counted)
 
     harvest_scale = scenario.eta * scenario.tx_power_w
-    h_inc = gains[warmup:]
-    idle_sum = h_inc.sum(axis=0) - np.bincount(
-        sel_inc, weights=h_sel[warmup:], minlength=n
-    )
-    idle_sumsq = np.einsum("ij,ij->j", h_inc, h_inc) - np.bincount(
-        sel_inc, weights=h_sel[warmup:] ** 2, minlength=n
-    )
     harv_mean = harvest_scale * idle_sum / counted
-    harv_var = np.maximum(
-        harvest_scale**2 * idle_sumsq / counted - harv_mean**2, 0.0
-    )
+    harv_var = np.maximum(harvest_scale**2 * idle_sumsq / counted - harv_mean**2, 0.0)
     harv_se = np.sqrt(harv_var / counted)
 
-    freq = np.bincount(sel_inc, minlength=n) / counted
+    freq = count / counted
 
     return SimResult(
         per_user_capacity_mean=tuple(float(v) for v in cap_mean),

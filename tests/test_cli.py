@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from swiptsched import __version__
+from swiptsched import __version__, sim
 from swiptsched.analytic import AllowedOrderSet
 from swiptsched.channel import sample_gains
 from swiptsched.cli import CSV_HEADER, SweepSpec, main, parse_allowed, run_sweep
@@ -272,6 +272,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["sweep", "--config", path, "--schemes", "rr", "--jobs", "-1"],
         sim + ["--slots", "0"],
         sim + ["--slots", "100", "--warmup", "100"],
+        sim + ["--seed", "-1"],
+        ["sweep", "--config", path, "--schemes", "rr", "--mode", "both", "--seed", "-3"],
         ["analyze", "--config", rayleigh_k, "--scheme", "rr"],
         ["analyze", "--config", budget, "--scheme", "rr"],
         ["linkbudget", "--frequency-hz", "915e6", "--exponent", "2", "--distance", "0"],
@@ -425,13 +427,21 @@ def test_sweep_shared_draw_rows_equal_per_point_runs(tmp_path):
 
 
 def test_serial_sweep_draws_each_user_once(tmp_path, monkeypatch):
-    drawn = []
+    # one stream per sweep, each user's slots drawn once over the chunks
+    streams, drawn = [], []
+    gain_streams = sim.gain_streams
 
-    def counted(params, rng, size=None):
-        drawn.append(params)
-        return sample_gains(params, rng, size)
+    def counted_streams(*args):
+        streams.append(args)
+        return gain_streams(*args)
 
-    monkeypatch.setattr("swiptsched.sim.sample_gains", counted)
+    def counted(params, rng, size=None, rng_im=None):
+        drawn.append((params, size))
+        return sample_gains(params, rng, size, rng_im)
+
+    monkeypatch.setattr(sim, "gain_streams", counted_streams)
+    monkeypatch.setattr(sim, "sample_gains", counted)
+    monkeypatch.setattr(sim, "_CHUNK", 700)
     config = pathlib.Path(__file__).resolve().parent.parent / "configs" / "indoor_ricean_n7.ini"
     out_csv = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(config), "--schemes", "rr,nsnr,et", "--orders", "1-7",
@@ -439,7 +449,9 @@ def test_serial_sweep_draws_each_user_once(tmp_path, monkeypatch):
             "--slots", "2000", "--jobs", "1", "--out", str(out_csv)]
     assert main(argv) == 0
     assert len(read_rows(out_csv.read_text())) == 2 * 11 * 7
-    assert len(drawn) == 7
+    assert len(streams) == 1
+    users = list(parse_config(str(config)).users)
+    assert drawn == [(u, size) for size in (700, 700, 600) for u in users]
 
 
 def test_sweep_sorts_ranks_at_most_once(tmp_path, monkeypatch):
@@ -451,13 +463,14 @@ def test_sweep_sorts_ranks_at_most_once(tmp_path, monkeypatch):
         return argsort(*args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", counted)
+    monkeypatch.setattr(sim, "_CHUNK", 700)
     path = write_config(tmp_path, GOOD_CONFIG)
     argv = ["sweep", "--config", path, "--mode", "simulate", "--slots", "2000",
             "--jobs", "1", "--out", str(tmp_path / "s.csv"), "--schemes"]
     assert main(argv + ["rr"]) == 0
     assert sorted_rows == []
     assert main(argv + ["rr,nsnr,et", "--orders", "1-3", "--set", "1-2", "--set", "2-3"]) == 0
-    assert sum(sorted_rows) == 2000
+    assert sorted_rows == [700, 700, 600]
 
 
 def test_sweep_both_mode_tags_rows(tmp_path):

@@ -1,7 +1,9 @@
-"""Analytic sweeps of the bundled configs against committed golden CSVs.
+"""Sweeps of the bundled configs against committed golden CSVs.
 
 The golden files hold `sweep --schemes rr,nsnr,et --orders 1-N --set 1-2
---set 1-N --mode analytic` for every file in configs/. Text cells and
+--set 1-N --mode analytic` for every file in configs/, and
+golden/simulated/ the same sweep of indoor_ricean_n7 in mode both at 20000
+slots and seed 7, which pins the simulator's stream layout. Text cells and
 comment lines must match exactly; numbers match to 1e-9 relative, so a
 different scipy build's last-digit rounding does not fail the comparison.
 """
@@ -35,16 +37,15 @@ def test_every_bundled_config_has_a_golden_file():
     assert sorted(p.stem for p in GOLDEN.glob("*.csv")) == [p.stem for p in CONFIGS]
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
-def test_analytic_sweep_matches_golden(config, tmp_path):
+def _sweep_matches(config, golden, extra, tmp_path):
     n = parse_config(str(config)).n_users
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(config), "--schemes", "rr,nsnr,et"]
     argv += ["--orders", f"1-{n}", "--set", "1-2", "--set", f"1-{n}"]
-    assert main(argv + ["--mode", "analytic", "--out", str(out)]) == 0
+    assert main(argv + extra + ["--out", str(out)]) == 0
 
     got = out.read_text(encoding="utf-8").splitlines()
-    want = (GOLDEN / f"{config.stem}.csv").read_text(encoding="utf-8").splitlines()
+    want = golden.read_text(encoding="utf-8").splitlines()
     assert [ln for ln in got if ln.startswith("#")] == [ln for ln in want if ln.startswith("#")]
     got_rows = list(csv.reader(ln for ln in got if not ln.startswith("#")))
     want_rows = list(csv.reader(ln for ln in want if not ln.startswith("#")))
@@ -53,3 +54,14 @@ def test_analytic_sweep_matches_golden(config, tmp_path):
         assert len(g_row) == len(w_row), r
         for c, (g, w) in enumerate(zip(g_row, w_row)):
             assert _cells_match(g, w), (r, want_rows[0][c], g, w)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_analytic_sweep_matches_golden(config, tmp_path):
+    _sweep_matches(config, GOLDEN / f"{config.stem}.csv", ["--mode", "analytic"], tmp_path)
+
+
+def test_simulated_sweep_matches_golden(tmp_path):
+    config = ROOT / "configs" / "indoor_ricean_n7.ini"
+    extra = ["--mode", "both", "--slots", "20000", "--seed", "7"]
+    _sweep_matches(config, GOLDEN / "simulated" / f"{config.stem}.csv", extra, tmp_path)

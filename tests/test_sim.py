@@ -5,6 +5,7 @@ Statistical comparisons use the run's own standard errors with wide (4 to
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from swiptsched.channel import FadingParams, Scenario, sample_gains
 from swiptsched.orderstats import rank_of_users
 from swiptsched.sim import (
     Constant,
-    Draw,
     OrderET,
     OrderNSNR,
     RoundRobin,
@@ -29,6 +29,7 @@ from swiptsched.sim import (
     VanishingStep,
     convergence_report,
     run,
+    run_policies,
     step_et,
 )
 
@@ -70,6 +71,19 @@ def test_sim_config_validation():
         SimConfig(n_slots=100, seed=1, warmup_slots=100)
     with pytest.raises(ValueError):
         SimConfig(n_slots=100, seed=1, warmup_slots=-1)
+    bad = [
+        dict(n_slots=10, seed=-1),
+        dict(n_slots=2.5, seed=1),
+        dict(n_slots=True, seed=1),
+        dict(n_slots=10, seed=1.0),
+        dict(n_slots=10, seed=False),
+        dict(n_slots=10, seed=1, warmup_slots=2.0),
+        dict(n_slots=10, seed=1, warmup_slots=True),
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            SimConfig(**kwargs)
+    assert SimConfig(n_slots=np.int64(10), seed=0, warmup_slots=0).seed == 0
 
 
 def test_step_et_hand_case():
@@ -96,18 +110,19 @@ def test_step_et_full_replacement_at_beta_one():
 
 
 @pytest.mark.parametrize("beta", [VanishingStep(), Constant(0.01)], ids=str)
-def test_run_applies_the_step_et_rule(beta):
-    # step_et, driven slot by slot over the gains run() draws, must schedule
-    # and average exactly as the simulator does
+def test_run_applies_the_step_et_rule(beta, monkeypatch):
+    # step_et, driven slot by slot over full-length sample_gains streams of
+    # the spawned child seeds, must schedule and average exactly as the
+    # simulator does, in one chunk and across chunk seams
     users = tuple(FadingParams(omega=n * 1e-5, k_factor=6.0) for n in range(1, 8))
     sc = Scenario(users=users, tx_power_w=1.0, noise_power_w=NOISE_W, eta=0.5)
     allowed = AllowedOrderSet((1, 2))
     slots, seed = 2000, 21
-    result = run(
-        sc,
-        OrderET(allowed=allowed, beta=beta),
-        SimConfig(n_slots=slots, seed=seed, warmup_slots=0),
-    )
+    policy = OrderET(allowed=allowed, beta=beta)
+    config = SimConfig(n_slots=slots, seed=seed, warmup_slots=0)
+    results = [run(sc, policy, config)]
+    monkeypatch.setattr(sim, "_CHUNK", 997)
+    results.append(run(sc, policy, config))
 
     streams = np.random.SeedSequence(seed).spawn(sc.n_users)
     gains = np.column_stack(
@@ -123,8 +138,9 @@ def test_run_applies_the_step_et_rule(beta):
         chosen, throughputs = step_et(throughputs, ranks, allowed, beta.value_at(t + 1), rates)
         counts[chosen - 1] += 1
 
-    assert result.final_moving_throughput == throughputs
-    assert [round(f * slots) for f in result.per_user_schedule_frequency] == counts
+    for result in results:
+        assert result.final_moving_throughput == throughputs
+        assert [round(f * slots) for f in result.per_user_schedule_frequency] == counts
 
 
 def test_step_et_rejects_bad_beta():
@@ -253,57 +269,122 @@ def test_unknown_policy_rejected():
 def test_policy_errors_raise_before_drawing(monkeypatch):
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return sample_gains(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(sim, "sample_gains", counted)
+        return wrapper
+
+    monkeypatch.setattr(sim, "sample_gains", counted("sample", sample_gains))
+    monkeypatch.setattr(sim, "gain_streams", counted("streams", sim.gain_streams))
     sc = scenario3()
     config = SimConfig(n_slots=10, seed=1)
     for policy in (OrderNSNR(order_j=4), OrderET(allowed=(2, 4)), object()):
         with pytest.raises(ValueError):
             run(sc, policy, config)
+        with pytest.raises(ValueError):
+            run_policies(sc, [RoundRobin(), OrderNSNR(order_j=1), policy], config)
     assert calls == []
 
 
-def test_draw_is_read_only_with_compact_ranks():
+def ricean7():
     users = tuple(FadingParams(omega=n * 1e-5, k_factor=6.0) for n in range(1, 8))
-    sc = Scenario(users=users, tx_power_w=1.0, noise_power_w=NOISE_W, eta=0.5)
-    slots = sim._RANK_BLOCK + 1000  # the ranks cross a block seam
-    draw = Draw(sc, SimConfig(n_slots=slots, seed=4))
-    assert draw.gains.shape == (slots, 7) and draw.gains.dtype == np.float64
-    assert draw.ranks.dtype == np.int8
-    for array in (draw.gains, draw.ranks):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0, 0] = 0
-    omegas = np.array([u.omega for u in users])
-    assert np.array_equal(draw.ranks, np.argsort(draw.gains / omegas, axis=1, kind="stable"))
+    return Scenario(users=users, tx_power_w=1.0, noise_power_w=NOISE_W, eta=0.5)
+
+
+def test_draw_is_read_only_with_compact_ranks(monkeypatch):
+    # the chunks put together are the full-length sample_gains streams of
+    # the spawned child seeds, and their ranks the stable argsort of those
+    sc = ricean7()
+    monkeypatch.setattr(sim, "_CHUNK", 997)
+    slots, seed = 2 * 997 + 100, 4
+    chunks = list(sim._stream(sc, SimConfig(n_slots=slots, seed=seed), True))
+    assert [t0 for t0, _, _ in chunks] == [0, 997, 1994]
+    for _, gains, ranks in chunks:
+        assert gains.shape == (len(ranks), 7) and gains.dtype == np.float64
+        assert ranks.dtype == np.int8
+        for array in (gains, ranks):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+    children = np.random.SeedSequence(seed).spawn(sc.n_users)
+    gains = np.column_stack(
+        [sample_gains(u, np.random.default_rng(c), slots) for u, c in zip(sc.users, children)]
+    )
+    assert np.array_equal(np.concatenate([g for _, g, _ in chunks]), gains)
+    omegas = np.array([u.omega for u in sc.users])
+    ranks = np.concatenate([r for _, _, r in chunks])
+    assert np.array_equal(ranks, np.argsort(gains / omegas, axis=1, kind="stable"))
+    assert all(r is None for _, _, r in sim._stream(sc, SimConfig(n_slots=10, seed=1), False))
 
 
 def test_shared_draw_gives_each_runs_own_results():
     sc = scenario3()
     config = SimConfig(n_slots=4000, seed=9)
-    draw = Draw(sc, config)
     policies = (
         RoundRobin(),
         OrderNSNR(order_j=1),
         OrderNSNR(order_j=3),
         OrderET(allowed=AllowedOrderSet((1, 2))),
+        OrderET(allowed=AllowedOrderSet((2, 3)), beta=Constant(0.05)),
     )
-    for policy in policies:
-        assert run(sc, policy, config, draw=draw) == run(sc, policy, config)
+    shared = run_policies(sc, policies, config)
+    assert shared == [run(sc, policy, config) for policy in policies]
 
 
-def test_run_rejects_a_mismatched_draw():
+@pytest.mark.parametrize("beta", [VanishingStep(), Constant(0.01)], ids=str)
+def test_chunk_seams_leave_et_unchanged(beta, monkeypatch):
+    # an odd chunk with the warmup ending past the second seam: the ET state
+    # and the warmup mask carry across seams, and only the summation order of
+    # the per-user sums may differ from a one-chunk run
+    sc = ricean7()
+    policies = [OrderET(allowed=AllowedOrderSet((1, 2)), beta=beta), RoundRobin()]
+    config = SimConfig(n_slots=5000, seed=33, warmup_slots=2100)
+    selector = sim._selector
+
+    def recording(selections):
+        def wrapped(policy, n, snr_scale):
+            descriptor, select, final = selector(policy, n, snr_scale)
+
+            def recorded(t0, gains, ranks):
+                sel = select(t0, gains, ranks)
+                selections.setdefault(descriptor, []).append(sel.copy())
+                return sel
+
+            return descriptor, recorded, final
+
+        return wrapped
+
+    runs = []
+    for chunk in (config.n_slots, 997):
+        selections = {}
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        monkeypatch.setattr(sim, "_selector", recording(selections))
+        results = run_policies(sc, policies, config)
+        runs.append((results, {k: np.concatenate(v) for k, v in selections.items()}))
+    (one, one_sel), (seamed, seamed_sel) = runs
+    assert one_sel.keys() == seamed_sel.keys() and len(one_sel) == 2
+    for key, sel in one_sel.items():
+        assert np.array_equal(sel, seamed_sel[key]) and len(sel) == config.n_slots
+    assert one[0].final_moving_throughput == seamed[0].final_moving_throughput
+    for a, b in zip(one, seamed):
+        assert a.slots_counted == b.slots_counted and a.policy_descriptor == b.policy_descriptor
+        for name in ("capacity_mean", "capacity_stderr", "harvest_mean",
+                     "harvest_stderr", "schedule_frequency"):
+            got, want = getattr(b, "per_user_" + name), getattr(a, "per_user_" + name)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("policy", [RoundRobin(), OrderNSNR(order_j=2)], ids=str)
+def test_run_memory_is_flat_in_the_slot_count(policy):
     sc = scenario3()
-    config = SimConfig(n_slots=100, seed=1)
-    draw = Draw(sc, config)
-    other = Scenario(users=sc.users[:2], tx_power_w=1.0, noise_power_w=NOISE_W, eta=0.5)
-    for scenario, cfg in (
-        (sc, SimConfig(n_slots=100, seed=2)),
-        (sc, SimConfig(n_slots=99, seed=1)),
-        (other, config),
-    ):
-        with pytest.raises(ValueError, match="draw"):
-            run(scenario, RoundRobin(), cfg, draw=draw)
+    peaks = []
+    for slots in (100_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            run(sc, policy, SimConfig(n_slots=slots, seed=2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20
